@@ -7,8 +7,8 @@ One executable with a subcommand per capability: spectra (`lambda1`,
 self-check (`selftest`).
 
 Results are emitted as JSON records (floats keep full round-trip
-precision), TSV, or a human-readable sketch.  Identical configuration
-and seed give byte-identical JSON.  Exit codes: 0 success, 2 bad
+precision) or TSV.  Identical configuration and seed give byte-identical
+JSON.  Exit codes: 0 success, 2 bad
 preconditions, 3 exhausted search budget, 64 unknown command.
 """
 
@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import compress as comp
 from . import core, search, spectral, subcubes
@@ -32,20 +31,9 @@ EXIT_USAGE = 64
 
 @dataclass
 class RunConfig:
-    command: str
-    flags: dict = field(default_factory=dict)
     seed: int = 0
     output: str | None = None
     format: str = "json"
-
-
-def thread_cap() -> int:
-    """Worker cap for grid sweeps, from CUBE_SPECTRA_THREADS."""
-    value = os.environ.get("CUBE_SPECTRA_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 def _family_brief(fam: core.VertexFamily) -> list[str]:
@@ -65,12 +53,10 @@ def _spectral_record(result: spectral.SpectralResult) -> dict:
 
 
 def _emit(payload, config: RunConfig) -> None:
-    if config.format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif config.format == "tsv":
+    if config.format == "tsv":
         text = _to_tsv(payload)
     else:
-        text = _to_human(payload)
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if config.output:
         with open(config.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -102,10 +88,6 @@ def _to_tsv(payload) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _to_human(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers.  Each returns (exit_code, payload).
 
@@ -128,8 +110,7 @@ def _cmd_hamming(args, config):
     record.update(_spectral_record(exact))
     record["level_weights"] = list(exact.level_weights)
     if args.bounds:
-        record["level_bound"] = spectral.level_bound(
-            core.hamming_ball(args.d, args.i))
+        record["level_bound"] = spectral.band_bound(args.i, args.d)
         if 1 <= args.i <= args.d // 2:
             record["upper_bound"] = spectral.hamming_upper_bound(args.d, args.i)
             if args.i >= 2:
@@ -351,7 +332,7 @@ def _cmd_selftest(args, config):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["json", "tsv", "human"],
+    common.add_argument("--format", choices=["json", "tsv"],
                         default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for randomized suites (default 0)")
@@ -374,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub("hamming", help="Hamming-ball eigenvalues and bounds")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--i", type=int, required=True)
-    p.add_argument("--exact", action="store_true",
-                   help="exact level-reduced solve (default)")
     p.add_argument("--bounds", action="store_true",
                    help="include the closed-form bounds")
     p.add_argument("--constants", action="store_true",
@@ -454,9 +433,6 @@ def run(argv=None) -> int:
         sys.stderr.write(parser.format_usage())
         return EXIT_USAGE
     config = RunConfig(
-        command=args.command,
-        flags={k: v for k, v in vars(args).items()
-               if k not in ("command", "seed", "output", "format")},
         seed=getattr(args, "seed", 0),
         output=getattr(args, "output", None),
         format=getattr(args, "format", "json"),

@@ -13,8 +13,8 @@ every set operation stays a single-word bit operation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from math import comb
+
+import numpy as np
 
 MAX_DIM = 64
 
@@ -121,10 +121,6 @@ def hamming_ball(d: int, i: int) -> VertexFamily:
     return VertexFamily(d, frozenset(members))
 
 
-def hamming_ball_size(d: int, i: int) -> int:
-    return sum(comb(d, j) for j in range(i + 1))
-
-
 def star_family(d: int, leaves: int) -> VertexFamily:
     """K_{1,m} embedded as the empty set plus m singletons (m <= d)."""
     if not 0 <= leaves <= d:
@@ -132,27 +128,51 @@ def star_family(d: int, leaves: int) -> VertexFamily:
     return VertexFamily(d, frozenset([0] + [1 << j for j in range(leaves)]))
 
 
+@dataclass(frozen=True, eq=False)
+class CubeGraph:
+    """The induced subgraph of Q_d on a family, in CSR form.
+
+    `vertices` holds the members in ascending (binary) order as uint64,
+    so d = 64 fits.  The neighbours of vertices[k] are
+    vertices[indices[indptr[k]:indptr[k + 1]]], in ascending order.
+    """
+
+    vertices: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+
+def cube_graph(fam: VertexFamily) -> CubeGraph:
+    """Build the induced subgraph of `fam`: every vertex's d bit-flips are
+    looked up in the sorted vertex array with one `searchsorted`, and a
+    flip that lands on an equal entry is an edge."""
+    verts = np.array(fam.sorted_members(), dtype=np.uint64)
+    bits = np.left_shift(np.uint64(1), np.arange(fam.d, dtype=np.uint64))
+    # sorting each row of flips makes each neighbour list come out sorted
+    flips = np.sort(verts[:, None] ^ bits, axis=1)
+    pos = np.searchsorted(verts, flips)
+    hit = verts[np.minimum(pos, len(verts) - 1)] == flips
+    indptr = np.zeros(len(verts) + 1, dtype=np.int64)
+    np.cumsum(hit.sum(axis=1), out=indptr[1:])
+    return CubeGraph(verts, indptr, pos[hit])
+
+
 def induced_edges(fam: VertexFamily) -> tuple[tuple[int, int], ...]:
     """All pairs of members at Hamming distance 1, each once, smaller first."""
-    members = fam.members
-    out = []
-    for v in members:
-        for b in range(fam.d):
-            u = v ^ (1 << b)
-            if u > v and u in members:
-                out.append((v, u))
-    out.sort()
-    return tuple(out)
+    g = cube_graph(fam)
+    rows = np.repeat(np.arange(len(g.vertices)), np.diff(g.indptr))
+    upper = g.indices > rows
+    return tuple(zip(g.vertices[rows[upper]].tolist(),
+                     g.vertices[g.indices[upper]].tolist()))
 
 
 def adjacency_lists(fam: VertexFamily) -> dict[int, tuple[int, ...]]:
     """Neighbour lists inside the induced subgraph, keyed by vertex mask."""
-    members = fam.members
-    adj: dict[int, list[int]] = {v: [] for v in members}
-    for v, u in induced_edges(fam):
-        adj[v].append(u)
-        adj[u].append(v)
-    return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+    g = cube_graph(fam)
+    ptr = g.indptr.tolist()
+    nbrs = g.vertices[g.indices].tolist()
+    return {v: tuple(nbrs[ptr[k]:ptr[k + 1]])
+            for k, v in enumerate(g.vertices.tolist())}
 
 
 @dataclass(frozen=True)
@@ -165,35 +185,15 @@ class DegreeProfile:
 def degree_profile(fam: VertexFamily) -> DegreeProfile:
     """Per-vertex degrees, the maximum degree, and the largest sum of
     degrees over one vertex's neighbourhood."""
-    adj = adjacency_lists(fam)
-    degrees = {v: len(ns) for v, ns in adj.items()}
-    max_deg = max(degrees.values(), default=0)
-    s = 0
-    for v, ns in adj.items():
-        s = max(s, sum(degrees[u] for u in ns))
-    return DegreeProfile(degrees, max_deg, s)
-
-
-def subsets_of(mask: int):
-    """All subsets of a bitmask, including 0 and the mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
-def all_vertices(d: int):
-    return range(1 << d)
-
-
-def masks_of_size(d: int, k: int):
-    for combo in combinations(range(d), k):
-        m = 0
-        for b in combo:
-            m |= 1 << b
-        yield m
+    g = cube_graph(fam)
+    deg = np.diff(g.indptr)
+    sums = np.concatenate(([0], np.cumsum(deg[g.indices])))
+    nbr_sums = sums[g.indptr[1:]] - sums[g.indptr[:-1]]
+    return DegreeProfile(
+        dict(zip(g.vertices.tolist(), deg.tolist())),
+        int(deg.max(initial=0)),
+        int(nbr_sums.max(initial=0)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,42 +2,26 @@
 
 Each suite writes one deterministic file under the goldens directory;
 the test suite regenerates them into a scratch directory and fails on
-any diff against the committed copies.  Sweeps honor the
-CUBE_SPECTRA_THREADS cap but emit rows in canonical sorted order
-regardless of schedule.
+any diff against the committed copies.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 from . import core, search, spectral
 
 SUITES = ("hamming-table", "bounds-table", "search-table", "partition-certs")
 
 
-def _hamming_rows():
-    grid = [(d, i) for d in range(4, 21) for i in range(0, d // 2 + 1)]
-
-    def row(cell):
-        d, i = cell
-        result = spectral.hamming_lambda1_exact(d, i)
-        return d, i, result.lambda1
-
-    from .cli import thread_cap
-
-    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        rows = list(pool.map(row, grid))
-    return sorted(rows)
-
-
 def _write_hamming_table(outdir: str) -> str:
     path = os.path.join(outdir, "hamming_table.tsv")
     lines = ["d\ti\tlambda1"]
-    for d, i, lam in _hamming_rows():
-        lines.append(f"{d}\t{i}\t{lam!r}")
+    for d in range(4, 21):
+        for i in range(0, d // 2 + 1):
+            lam = spectral.hamming_lambda1_exact(d, i).lambda1
+            lines.append(f"{d}\t{i}\t{lam!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     return path

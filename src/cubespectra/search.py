@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from math import log, sqrt
 
 from .compress import is_compressed
-from .core import VertexFamily, adjacency_lists, induced_edges, popcount, vertex_str
+from .core import VertexFamily, adjacency_lists, popcount, vertex_str
 from .spectral import SpectralResult, lambda1
 
 TIE_EPS = 1e-9
@@ -439,7 +439,7 @@ def verify_partition(cert: PartitionCertificate, fam: VertexFamily) -> Partition
                 break
 
     # part 3: exact edge cover
-    all_edges = set(induced_edges(fam))
+    all_edges = _block_edges(members, adj)
     covered_edges = set()
     for block in cert.blocks():
         covered_edges |= _block_edges(block, adj)

@@ -33,7 +33,8 @@ from math import comb, sqrt
 import numpy as np
 
 from .compress import WeightVector
-from .core import VertexFamily, adjacency_lists, degree_profile, induced_edges
+from .core import VertexFamily, cube_graph, degree_profile
+from .subcubes import count_subcubes
 
 DEFAULT_TOL = 1e-10
 MAX_POWER_ITERATIONS = 10**6
@@ -53,18 +54,6 @@ class SpectralResult:
         return (self.lambda1, self.lambda1 + self.error_bound)
 
 
-def _csr_parts(fam: VertexFamily):
-    verts = sorted(fam.members)
-    index = {v: k for k, v in enumerate(verts)}
-    rows, cols = [], []
-    for v, u in induced_edges(fam):
-        rows.append(index[v])
-        cols.append(index[u])
-        rows.append(index[u])
-        cols.append(index[v])
-    return verts, rows, cols
-
-
 def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL,
             max_iterations: int = MAX_POWER_ITERATIONS) -> SpectralResult:
     """Largest adjacency eigenvalue of the induced subgraph, by power
@@ -74,25 +63,24 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL,
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = len(fam)
-    verts, rows, cols = _csr_parts(fam)
+    g = cube_graph(fam)
+    verts = g.vertices.tolist()
 
     if n == 1:
         vec = WeightVector(fam.d, {verts[0]: 1.0})
         return SpectralResult(0.0, 0.0, vec, 0, "dense-small")
 
     if n <= 64:
-        mat = np.zeros((n, n))
-        mat[rows, cols] = 1.0
-        mat += np.eye(n)
-        matvec = mat.dot
+        mat = np.eye(n)
+        mat[np.repeat(np.arange(n), np.diff(g.indptr)), g.indices] = 1.0
     else:
         from scipy.sparse import csr_matrix, identity
 
-        data = np.ones(len(rows))
-        mat = csr_matrix((data, (rows, cols)), shape=(n, n)) + identity(
+        data = np.ones(len(g.indices))
+        mat = csr_matrix((data, g.indices, g.indptr), shape=(n, n)) + identity(
             n, format="csr"
         )
-        matvec = mat.dot
+    matvec = mat.dot
 
     x = np.full(n, 1.0 / sqrt(n))
     rho_prev = None
@@ -236,15 +224,18 @@ def limit_constant(i: int, tol: float = 1e-13) -> float:
 # Bounds.
 
 
+def band_bound(t: int, d: int) -> float:
+    """2 sqrt(t d) for max set size t <= d/2: an upper bound on lambda1 of
+    any family in Q_d whose sets have at most t elements, obtained by
+    slicing the graph into consecutive-level bipartite bands."""
+    if 2 * t > d:
+        raise ValueError(f"level bound needs max set size {t} <= d/2 = {d / 2}")
+    return 2.0 * sqrt(t * d)
+
+
 def level_bound(fam: VertexFamily) -> float:
-    """2 sqrt(t d) for max set size t <= d/2: an upper bound on lambda1
-    obtained by slicing the graph into consecutive-level bipartite bands."""
-    t = fam.max_set_size()
-    if 2 * t > fam.d:
-        raise ValueError(
-            f"level bound needs max set size {t} <= d/2 = {fam.d / 2}"
-        )
-    return 2.0 * sqrt(t * fam.d)
+    """The band bound 2 sqrt(t d) at the family's own max set size t."""
+    return band_bound(fam.max_set_size(), fam.d)
 
 
 def hamming_upper_bound(d: int, i: int) -> float:
@@ -288,6 +279,8 @@ def _root_of_int(value: int, r: int) -> float:
 def walk_trace_bound(fam: VertexFamily, k: int) -> float:
     """(half the number of closed 2k-walks) ** (1/2k) >= lambda1.
 
+    A is symmetric, so the closed 2k-walks from s number
+    sum_u (k-walks s -> u)^2, which takes k steps from s instead of 2k.
     Walk counts are exact integers (Python's arbitrary precision makes
     the big-count fallback automatic).
     """
@@ -295,24 +288,20 @@ def walk_trace_bound(fam: VertexFamily, k: int) -> float:
         raise ValueError("k must be >= 1")
     if len(fam) == 0:
         raise ValueError("family is empty")
-    verts = sorted(fam.members)
-    index = {v: j for j, v in enumerate(verts)}
-    nbrs = [
-        [index[u] for u in adjacency_lists(fam)[v]]
-        for v in verts
-    ]
+    g = cube_graph(fam)
+    ptr = g.indptr.tolist()
+    idx = g.indices.tolist()
+    nbrs = [idx[ptr[j]:ptr[j + 1]] for j in range(len(fam))]
     total = 0
-    for start in range(len(verts)):
-        counts = [0] * len(verts)
-        counts[start] = 1
-        for _ in range(2 * k):
-            nxt = [0] * len(verts)
-            for v, c in enumerate(counts):
-                if c:
-                    for u in nbrs[v]:
-                        nxt[u] += c
+    for start in range(len(fam)):
+        counts = {start: 1}
+        for _ in range(k):
+            nxt: dict[int, int] = {}
+            for v, c in counts.items():
+                for u in nbrs[v]:
+                    nxt[u] = nxt.get(u, 0) + c
             counts = nxt
-        total += counts[start]
+        total += sum(c * c for c in counts.values())
     assert total % 2 == 0, "closed-walk count of a bipartite graph is even"
     return _root_of_int(total // 2, 2 * k)
 
@@ -338,24 +327,14 @@ class PairCycleCounts:
 
 
 def count_p2_c4(fam: VertexFamily) -> PairCycleCounts:
-    verts = sorted(fam.members)
-    index = {v: j for j, v in enumerate(verts)}
-    nbr_bits = [0] * len(verts)
-    edges = 0
-    for v, u in induced_edges(fam):
-        nbr_bits[index[v]] |= 1 << index[u]
-        nbr_bits[index[u]] |= 1 << index[v]
-        edges += 1
-    p2 = sum(comb(bits.bit_count(), 2) for bits in nbr_bits)
-    diag = 0
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            codeg = (nbr_bits[a] & nbr_bits[b]).bit_count()
-            diag += comb(codeg, 2)
-    assert diag % 2 == 0
-    c4 = diag // 2
-    even = sum(1 for v in verts if v.bit_count() % 2 == 0)
-    odd = len(verts) - even
+    """Paths of length 2 from the degrees; 4-cycles as 2-dimensional
+    subcubes, since the 4-cycles of Q_d are exactly its 2-faces."""
+    degrees = degree_profile(fam).degrees.values()
+    edges = sum(degrees) // 2
+    p2 = sum(comb(k, 2) for k in degrees)
+    c4 = count_subcubes(fam, 2).count if fam.d >= 2 else 0
+    even = sum(1 for v in fam.members if v.bit_count() % 2 == 0)
+    odd = len(fam) - even
     large, small = max(even, odd), min(even, odd)
     c4_bound = comb(small, 2)
     edge_bound = 2 * comb(small, 2) + large
@@ -369,8 +348,8 @@ def classic_bounds(fam: VertexFamily) -> dict[str, float]:
     """The classical upper bounds on lambda1 from edge count and local
     degree structure; cube subgraphs are triangle-free, so the sqrt(m)
     bound always applies."""
-    m = len(induced_edges(fam))
     profile = degree_profile(fam)
+    m = sum(profile.degrees.values()) // 2
     k = 1
     while comb(k, 2) < m:
         k += 1

@@ -3,6 +3,7 @@ determinism, and file outputs."""
 
 import json
 import math
+import time
 
 import pytest
 
@@ -17,7 +18,7 @@ def run_cli(argv, capsys):
 
 
 def test_hamming_exact_command(capsys):
-    code, out, _ = run_cli(["hamming", "--d", "6", "--i", "2", "--exact"], capsys)
+    code, out, _ = run_cli(["hamming", "--d", "6", "--i", "2"], capsys)
     record = json.loads(out)
     assert code == 0
     assert abs(record["lambda1"] - 4.0) < 1e-9
@@ -33,6 +34,19 @@ def test_hamming_bounds_and_constants(capsys):
     code, out, _ = run_cli(
         ["hamming", "--d", "10", "--i", "2", "--constants"], capsys)
     assert abs(json.loads(out)["limit_constant"] - math.sqrt(3)) < 1e-9
+
+
+def test_hamming_bounds_closed_form_in_large_dimension(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        ["hamming", "--d", "40", "--i", "3", "--bounds"], capsys)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out)["level_bound"] == 2 * math.sqrt(120)
+    assert elapsed < 2.0
+    code, _, err = run_cli(["hamming", "--d", "6", "--i", "4", "--bounds"],
+                           capsys)
+    assert code == cli.EXIT_PRECONDITION and "level bound" in err
 
 
 def test_search_with_oracle(capsys):

@@ -114,6 +114,15 @@ def test_induced_edges_against_pair_scan():
         assert sorted(induced_edges(fam)) == brute_edges(members, d)
 
 
+def test_induced_edges_with_element_64():
+    # element 64 is bit 63, which a signed 64-bit vertex array would wrap
+    members = frozenset(vertex_of(s) for s in (
+        [], [1], [63], [64], [1, 64], [2, 64], [63, 64], [1, 63, 64]))
+    fam = VertexFamily(64, members)
+    assert sorted(induced_edges(fam)) == brute_edges(members, 64)
+    assert len(induced_edges(fam)) == 10
+
+
 def test_ball_edge_count_formula():
     for d in range(1, 11):
         for i in range(d + 1):

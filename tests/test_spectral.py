@@ -4,11 +4,13 @@ import math
 import random
 from math import isclose, sqrt
 
+import numpy as np
 import pytest
 
-from conftest import brute_lambda1
+from conftest import brute_edges, brute_lambda1
 from cubespectra.core import VertexFamily, hamming_ball, initial_segment, star_family
 from cubespectra.spectral import (
+    _root_of_int,
     classic_bounds,
     count_p2_c4,
     default_walk_depth,
@@ -196,6 +198,42 @@ def test_quartic_walk_identity_on_square():
     counts = count_p2_c4(initial_segment(4, 2))
     lam = lambda1(initial_segment(4, 2)).lambda1
     assert isclose(lam**4, counts.edges + 2 * counts.p2 + 4 * counts.c4)
+
+
+def _random_families(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randint(1, 6)
+        n = rng.randint(1, min(2**d, 24))
+        yield VertexFamily(d, frozenset(rng.sample(range(2**d), n)))
+
+
+def _integer_adjacency(fam: VertexFamily) -> np.ndarray:
+    ms = sorted(fam.members)
+    index = {v: k for k, v in enumerate(ms)}
+    mat = np.zeros((len(ms), len(ms)), dtype=np.int64)
+    for u, v in brute_edges(ms, fam.d):
+        mat[index[u], index[v]] = mat[index[v], index[u]] = 1
+    return mat
+
+
+def test_walk_trace_bound_matches_exact_trace():
+    for fam in _random_families(17, 40):
+        adj = _integer_adjacency(fam)
+        for k in range(1, 5):
+            trace = int(np.trace(np.linalg.matrix_power(adj, 2 * k)))
+            assert walk_trace_bound(fam, k) == _root_of_int(trace // 2, 2 * k)
+
+
+def test_count_p2_c4_quartic_trace_identity():
+    # closed 4-walks: an edge walked twice (2m), a 2-path out and back
+    # (4 p2), or a 4-cycle (8 c4)
+    for fam in _random_families(17, 40):
+        adj = _integer_adjacency(fam)
+        counts = count_p2_c4(fam)
+        assert counts.edges == len(brute_edges(fam.members, fam.d))
+        trace = int(np.trace(np.linalg.matrix_power(adj, 4)))
+        assert trace == 2 * counts.edges + 4 * counts.p2 + 8 * counts.c4
 
 
 def test_classic_bounds():
