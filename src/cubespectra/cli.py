@@ -56,7 +56,8 @@ def _emit(payload, config: RunConfig) -> None:
     if config.format == "tsv":
         text = _to_tsv(payload)
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
     if config.output:
         with open(config.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -439,10 +440,10 @@ def run(argv=None) -> int:
     )
     try:
         code, payload = _HANDLERS[args.command](args, config)
+        _emit(payload, config)
     except (ValueError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECONDITION
-    _emit(payload, config)
     return code
 
 

@@ -22,6 +22,7 @@ the potential is cheap to materialize (d <= POTENTIAL_CHECK_MAX_D).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import VertexFamily, vertex_str
@@ -73,27 +74,20 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class CompressionStep:
-    """One applied step: kind 'uv' carries the masks U and V, kind
-    'binary' carries the rearranged coordinate; `target` records whether
-    the step acted on a set or a vector."""
+    """One applied (U,V)-step, kind 'uv'; `target` records whether the
+    step acted on a set or a vector."""
 
     kind: str
     u: int | None = None
     v: int | None = None
-    coord: int | None = None
     target: str = ""
 
     def describe(self) -> str:
-        if self.kind == "uv":
-            return f"C_{{{vertex_str(self.u)},{vertex_str(self.v)}}}"
-        return f"binary C_{self.coord}"
+        return f"C_{{{vertex_str(self.u)},{vertex_str(self.v)}}}"
 
     def to_json(self) -> dict:
-        if self.kind == "uv":
-            record = {"kind": "uv", "U": vertex_str(self.u),
-                      "V": vertex_str(self.v)}
-        else:
-            record = {"kind": "binary", "coord": self.coord}
+        record = {"kind": self.kind, "U": vertex_str(self.u),
+                  "V": vertex_str(self.v)}
         if self.target:
             record["target"] = self.target
         return record
@@ -236,26 +230,50 @@ def _uv_steps(d: int):
             yield 1 << (hi - 1), 1 << (lo - 1)
 
 
+def _member_violation(s: int, members) -> tuple[int, int] | None:
+    """The first step (U, V) in `is_compressed`'s order that moves member
+    s out of `members`, or None.  A family fails a step exactly when one
+    of its members does, so this test decides compression for a whole
+    family and for a new binary-maximal member alike."""
+    lo = 1
+    while lo < s:
+        if not s & lo:
+            above = s & -lo             # elements of s above lo
+            while above:
+                hi = above & -above
+                if (s ^ hi) | lo not in members:
+                    return hi, lo
+                above ^= hi
+        lo <<= 1
+    m = s
+    while m:
+        bit = m & -m
+        if s ^ bit not in members:
+            return bit, 0
+        m ^= bit
+    return None
+
+
 def is_compressed(x) -> tuple[bool, CompressionStep | None]:
     """True iff x is a fixpoint of every down-step and swap step.
 
-    On False, also returns one violating step.
+    On False, also returns the first violating step, swap steps first, so
+    a shift violation like {{2}} reports C_{2,1}.
     """
     if isinstance(x, VertexFamily):
-        apply = compress_family_uv
-        same = lambda a, b: a.members == b.members
-        target = "family"
-    elif isinstance(x, WeightVector):
-        apply = compress_vector_uv
-        same = lambda a, b: a.weights == b.weights
-        target = "vector"
-    else:
+        found = [uv for s in x.members
+                 if (uv := _member_violation(s, x.members)) is not None]
+        if not found:
+            return True, None
+        # the sorted `_uv_steps` order below: swaps by (lo, hi), then downs
+        u, v = min(found, key=lambda uv: (uv[1] == 0, uv[1], uv[0]))
+        return False, CompressionStep("uv", u=u, v=v, target="family")
+    if not isinstance(x, WeightVector):
         raise TypeError(f"expected VertexFamily or WeightVector, got {type(x)}")
-    # swap steps first so a shift violation like {{2}} reports C_{2,1}
     steps = sorted(_uv_steps(x.d), key=lambda uv: uv[1] == 0)
     for u, v in steps:
-        if not same(apply(x, u, v), x):
-            return False, CompressionStep("uv", u=u, v=v, target=target)
+        if compress_vector_uv(x, u, v).weights != x.weights:
+            return False, CompressionStep("uv", u=u, v=v, target="vector")
     return True, None
 
 
@@ -280,7 +298,7 @@ def _family_potential(fam: VertexFamily) -> int:
     return sum(fam.members)
 
 
-def fully_compress(x, check_potential: bool = True):
+def fully_compress(x):
     """Iterate every down-step and swap step to a joint fixpoint.
 
     Returns (compressed object, list of steps that changed it).  The
@@ -293,13 +311,13 @@ def fully_compress(x, check_potential: bool = True):
         apply_uv = compress_family_uv
         same = lambda a, b: a.members == b.members
         potential = _family_potential
-        do_check = check_potential
+        do_check = True
         target = "family"
     elif isinstance(x, WeightVector):
         apply_uv = compress_vector_uv
         same = lambda a, b: a.weights == b.weights
         potential = _vector_potential
-        do_check = check_potential and x.d <= POTENTIAL_CHECK_MAX_D
+        do_check = x.d <= POTENTIAL_CHECK_MAX_D
         target = "vector"
     else:
         raise TypeError(f"expected VertexFamily or WeightVector, got {type(x)}")
@@ -323,19 +341,6 @@ def fully_compress(x, check_potential: bool = True):
             return current, log
 
 
-def is_down_closed(fam: VertexFamily) -> bool:
-    """Closed under removing single elements (hence under subsets)."""
-    members = fam.members
-    for s in members:
-        m = s
-        while m:
-            bit = m & -m
-            if s ^ bit not in members:
-                return False
-            m ^= bit
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Vector file format: first line "d=<int>", then "<binary-string> <weight>".
 
@@ -355,7 +360,10 @@ def parse_vector(text: str) -> WeightVector:
         mask = binary_string_to_mask(parts[0], d)
         if mask in weights:
             raise ValueError(f"duplicate vertex line {line!r}")
-        weights[mask] = float(parts[1])
+        weight = float(parts[1])
+        if not math.isfinite(weight):
+            raise ValueError(f"weight must be finite, got {line!r}")
+        weights[mask] = weight
     return WeightVector(d, weights)
 
 

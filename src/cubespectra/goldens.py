@@ -35,7 +35,7 @@ def _write_bounds_table(outdir: str) -> str:
     for d, i in sorted(set(cells)):
         exact = spectral.hamming_lambda1_exact(d, i).lambda1
         upper = spectral.hamming_upper_bound(d, i)
-        level = 2.0 * (i * d) ** 0.5
+        level = spectral.band_bound(i, d)
         if i >= 2:
             k = spectral.default_walk_depth(i)
             lower = spectral.hamming_walk_lower_bound(d, i, k)

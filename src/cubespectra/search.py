@@ -8,7 +8,8 @@ order has every prefix compressed (removing the binary-maximal member
 preserves down-closure and shift-stability), so the enumeration is an
 orderly DFS: grow the family one vertex at a time, in increasing binary
 order, keeping only extensions whose lower shadow and left-shifts are
-already present.  Members of a compressed n-family use elements at most
+already present: the member-local test that `is_compressed` applies to
+every member.  Members of a compressed n-family use elements at most
 n-1 and have size at most log2 n, which bounds the candidate pool.
 
 The partition machinery decomposes a compressed family into blocks of
@@ -20,11 +21,13 @@ assertion of that construction and reports witnesses for failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 from math import log, sqrt
 
-from .compress import is_compressed
-from .core import VertexFamily, adjacency_lists, popcount, vertex_str
+from .compress import _member_violation, is_compressed
+from .core import (VertexFamily, adjacency_lists, elements_of, popcount,
+                   vertex_of, vertex_str)
 from .spectral import SpectralResult, lambda1
 
 TIE_EPS = 1e-9
@@ -32,26 +35,6 @@ TIE_EPS = 1e-9
 
 # ---------------------------------------------------------------------------
 # Enumeration of compressed families.
-
-
-def _valid_extension(v: int, members: set[int]) -> bool:
-    """The local conditions a new binary-maximal member must satisfy."""
-    m = v
-    while m:                        # lower shadow present
-        bit = m & -m
-        if v ^ bit not in members:
-            return False
-        m ^= bit
-    hi_bits = v
-    while hi_bits:                  # left-shifts present
-        hi = hi_bits & -hi_bits
-        lo = hi >> 1
-        while lo:
-            if not v & lo and (v ^ hi) | lo not in members:
-                return False
-            lo >>= 1
-        hi_bits ^= hi
-    return True
 
 
 def enumerate_compressed(n: int, cap_dim: int):
@@ -63,21 +46,25 @@ def enumerate_compressed(n: int, cap_dim: int):
         raise ValueError(
             f"cap_dim={cap_dim} too small for a compressed family of size {n}"
         )
-    cap = min(cap_dim, max(n - 1, 1))
+    top = 1 << min(cap_dim, max(n - 1, 1))
     members: set[int] = {0}
 
     def rec(last: int):
         if len(members) == n:
             yield VertexFamily(cap_dim, frozenset(members))
             return
+        # A valid v is s + {e}, e > max(s), with s and every s + {e'},
+        # max(s) < e' < e, members (shadow and left shifts of v); so each
+        # member s offers only its first non-member s + {e}.
         cands = set()
         for s in members:
-            for e in range(cap):
-                t = s | (1 << e)
-                if t > last and t not in members:
-                    cands.add(t)
+            bit = 1 << s.bit_length()
+            while s | bit in members:
+                bit <<= 1
+            if bit < top and s | bit > last:
+                cands.add(s | bit)
         for v in sorted(cands):
-            if _valid_extension(v, members):
+            if _member_violation(v, members) is None:
                 members.add(v)
                 yield from rec(v)
                 members.remove(v)
@@ -217,7 +204,6 @@ class PartitionCertificate:
     centers: tuple[frozenset[int], ...]
     covered: tuple[frozenset[int], ...]
     star_balls: dict[tuple[int, int], frozenset[int]]
-    assertion_flags: tuple[bool, bool, bool, bool] | None = None
 
     def blocks(self) -> list[frozenset[int]]:
         return [self.shells[k] | self.centers[k] for k in range(self.depth + 1)]
@@ -349,18 +335,16 @@ def _block_edges(members: frozenset[int], adj) -> set[tuple[int, int]]:
 
 
 def _unique_representation(s: int, k: int, cert: PartitionCertificate):
-    """Count decompositions S = T + extras with T a center of round j and
-    the extras assignable above the caps m_j..m_{k-1}."""
+    """List decompositions S = T + extras with T a center of round j and
+    the sorted extras above the caps m_j..m_{k-1}, one each: the extras
+    are k - j of S's own elements, so T is looked up, not searched for."""
     hits = []
     for j in range(k + 1):
-        for t in cert.centers[j]:
-            if t & ~s:
-                continue
-            extras = sorted(e + 1 for e in range(cert.d) if (s ^ t) >> e & 1)
-            if len(extras) != k - j:
-                continue
-            if all(extras[idx] > cert.caps[j + idx] for idx in range(len(extras))):
-                hits.append((j, t))
+        for extras in combinations(elements_of(s), k - j):
+            if all(e > cap for e, cap in zip(extras, cert.caps[j:])):
+                t = s ^ vertex_of(extras)
+                if t in cert.centers[j]:
+                    hits.append((j, t))
     return hits
 
 
@@ -453,9 +437,9 @@ def verify_partition(cert: PartitionCertificate, fam: VertexFamily) -> Partition
             f"edge {vertex_str(diff[0])}-{vertex_str(diff[1])} mismatch")
 
     # part 4: small degree inside every block
+    block_degrees = [_induced_degree(block, adj) for block in cert.blocks()]
     part4 = CheckOutcome("block_degree_bounded", True)
-    for k, block in enumerate(cert.blocks()):
-        deg = _induced_degree(block, adj)
+    for k, deg in enumerate(block_degrees):
         if deg > cert.epsilon * d:
             part4 = CheckOutcome(
                 "block_degree_bounded", False,
@@ -518,8 +502,7 @@ def verify_partition(cert: PartitionCertificate, fam: VertexFamily) -> Partition
     assertions.append(out)
 
     out = CheckOutcome("caps_bound_degree", True)
-    for k, block in enumerate(cert.blocks()):
-        deg = _induced_degree(block, adj)
+    for k, deg in enumerate(block_degrees):
         if not (deg <= cert.caps[k] and cert.caps[k] <= cert.epsilon * d):
             out = CheckOutcome(
                 "caps_bound_degree", False,
@@ -545,6 +528,4 @@ def verify_partition(cert: PartitionCertificate, fam: VertexFamily) -> Partition
     assertions.append(CheckOutcome("star_balls_disjoint", part1.passed,
                                    part1.witness))
 
-    report = PartitionReport((part1, part2, part3, part4), tuple(assertions))
-    cert.assertion_flags = tuple(c.passed for c in report.parts)
-    return report
+    return PartitionReport((part1, part2, part3, part4), tuple(assertions))

@@ -54,8 +54,7 @@ class SpectralResult:
         return (self.lambda1, self.lambda1 + self.error_bound)
 
 
-def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL,
-            max_iterations: int = MAX_POWER_ITERATIONS) -> SpectralResult:
+def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
     """Largest adjacency eigenvalue of the induced subgraph, by power
     iteration on A + I with a certified two-sided error bound."""
     if len(fam) == 0:
@@ -86,7 +85,7 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL,
     rho_prev = None
     iterations = 0
     converged = False
-    while iterations < max_iterations:
+    while iterations < MAX_POWER_ITERATIONS:
         y = matvec(x)
         rho = float(x.dot(y))          # Rayleigh quotient of A+I at unit x
         residual = y - rho * x
@@ -102,9 +101,14 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL,
         rho = float(x.dot(y))
         res_inf = float(np.max(np.abs(y - rho * x)))
 
-    # x stays strictly positive (it starts positive and A+I has unit
-    # diagonal), so the Collatz-Wielandt ratio certifies an upper bound.
-    cw_upper = float(np.max(y / x))
+    # The Collatz-Wielandt ratio bounds rho(A + I) for positive x.  On a
+    # component far below the dominant one x underflows to 0.0: an all-zero
+    # component takes 1 + its degrees instead, a partly zero one has some
+    # x_u = 0 < y_u, whose infinite ratio is capped by rho <= 1 + max degree.
+    degrees = np.diff(g.indptr)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(x > 0, y / x, np.where(y > 0, np.inf, 1.0 + degrees))
+    cw_upper = min(float(ratios.max()), 1.0 + float(degrees.max()))
     error = max(cw_upper - rho, res_inf)
     vec = WeightVector(fam.d, {v: float(w) for v, w in zip(verts, x)})
     return SpectralResult(rho - 1.0, error, vec, iterations, "power", converged)

@@ -316,7 +316,7 @@ def test_criterion_10_partition_certificates():
     rng = random.Random(2)
     for _ in range(10**3):
         members = frozenset(rng.sample(range(256), rng.randint(1, 128)))
-        fam, _ = fully_compress(VertexFamily(8, members), check_potential=False)
+        fam, _ = fully_compress(VertexFamily(8, members))
         cert = build_partition(fam, epsilon_preset_sqrt(8, len(fam)))
         rep = verify_partition(cert, fam)
         checked += 1

@@ -98,6 +98,16 @@ def test_compress_command(tmp_path, capsys):
     assert record["rayleigh_after"] >= record["rayleigh_before"] - 1e-12
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_compress_rejects_non_finite_weights(tmp_path, capsys, weight):
+    vec = tmp_path / "vec.txt"
+    vec.write_text(f"d=2\n01 1.0\n11 {weight}\n")
+    code, out, err = run_cli(
+        ["compress", "--in", str(vec), "--kind", "vector"], capsys)
+    assert code == cli.EXIT_PRECONDITION
+    assert out == "" and "finite" in err
+
+
 def test_partition_command(tmp_path, capsys):
     path = tmp_path / "ball.fam"
     path.write_text(format_family(hamming_ball(8, 1)))

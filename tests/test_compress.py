@@ -15,7 +15,6 @@ from cubespectra.compress import (
     format_vector,
     fully_compress,
     is_compressed,
-    is_down_closed,
     parse_vector,
     rayleigh,
 )
@@ -160,7 +159,6 @@ def test_fully_compress_properties():
         fam = VertexFamily(5, members)
         out, log = fully_compress(fam)
         assert len(out) == len(fam)
-        assert is_down_closed(out)
         assert is_compressed(out)[0]
         assert brute_is_compressed(out.members, 5)
         again, log2 = fully_compress(out)
@@ -189,6 +187,42 @@ def test_is_compressed_examples():
             assert brute_is_compressed(fam.members, d)
     ok, step = is_compressed(VertexFamily(2, frozenset([vertex_of([2])])))
     assert not ok and step.describe() == "C_{{2},{1}}"
+
+
+def _first_moving_step(fam):
+    """Reference route: apply every swap step, then every down-step, to
+    the whole family and report the first that moves it."""
+    d = fam.d
+    swaps = [(1 << (hi - 1), 1 << (lo - 1))
+             for lo in range(1, d + 1) for hi in range(lo + 1, d + 1)]
+    downs = [(1 << (i - 1), 0) for i in range(1, d + 1)]
+    for u, v in swaps + downs:
+        if compress_family_uv(fam, u, v).members != fam.members:
+            return False, (u, v)
+    return True, None
+
+
+def test_is_compressed_matches_step_application():
+    families = [VertexFamily(3, frozenset(m for m in range(8) if mask >> m & 1))
+                for mask in range(256)]
+    rng = random.Random(17)
+    for _ in range(2100):
+        d = rng.randint(4, 6)
+        fam = VertexFamily(d, frozenset(
+            rng.sample(range(2**d), rng.randint(1, 2**d))))
+        kind = rng.randrange(3)
+        if kind:
+            fam, _ = fully_compress(fam)
+        if kind == 2:   # one vertex toggled: compressed but for one member
+            fam = VertexFamily(d, fam.members ^ {rng.randrange(2**d)})
+        families.append(fam)
+    compressed = 0
+    for fam in families:
+        ok, step = is_compressed(fam)
+        assert (ok, step and (step.u, step.v)) == _first_moving_step(fam), fam
+        assert ok or (step.kind, step.target) == ("uv", "family")
+        compressed += ok
+    assert 0 < compressed < len(families)
 
 
 def test_singleton_and_swap_fixpoints_imply_all_u_fixpoints():

@@ -1,12 +1,14 @@
 """Heavy-vertex partition certificates and their verification."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from cubespectra.compress import fully_compress
 from cubespectra.core import VertexFamily, hamming_ball, initial_segment, vertex_of
 from cubespectra.search import (
+    _unique_representation,
     build_partition,
     enumerate_compressed,
     epsilon_preset_fixed_radius,
@@ -31,7 +33,7 @@ def test_ball_with_heavy_center():
     assert balls[(0, 1)] == frozenset([1])
     report = verify_partition(cert, fam)
     assert report.all_passed
-    assert cert.assertion_flags == (True, True, True, True)
+    assert tuple(c.passed for c in report.parts) == (True, True, True, True)
 
 
 def test_trivial_cases():
@@ -98,7 +100,7 @@ def test_fixed_epsilon_battery_classifies_correctly():
     outcomes = {"pass": 0, "degenerate": 0, "cap_slack": 0}
     for _ in range(150):
         members = frozenset(rng.sample(range(64), rng.randint(1, 40)))
-        fam, _ = fully_compress(VertexFamily(6, members), check_potential=False)
+        fam, _ = fully_compress(VertexFamily(6, members))
         for eps in (0.3, 0.5):
             cert = build_partition(fam, eps)
             report = verify_partition(cert, fam)
@@ -124,17 +126,54 @@ def test_corrupted_certificate_fails_partition_check():
     part2 = report.parts[1]
     assert not part2.passed
     assert part2.witness != ""
-    assert cert.assertion_flags[1] is False
+    assert tuple(c.passed for c in report.parts)[1] is False
 
 
 def test_star_ball_edges_cover_cross_edges():
     # a two-round family: the 5-cube ball of radius 1 inside Q_5 plus
     # some pairs; check the edge cover splits exactly
-    fam, _ = fully_compress(
-        VertexFamily(5, frozenset(range(12))), check_potential=False)
+    fam, _ = fully_compress(VertexFamily(5, frozenset(range(12))))
     eps = epsilon_preset_sqrt(5, len(fam))
     cert = build_partition(fam, eps)
     report = verify_partition(cert, fam)
     assert report.all_passed
     if cert.depth >= 1:
         assert cert.star_balls
+
+
+def _scan_representations(s, k, cert):
+    """Reference route: try every center of rounds 0..k as T."""
+    hits = []
+    for j in range(k + 1):
+        for t in cert.centers[j]:
+            if t & ~s:
+                continue
+            extras = sorted(e + 1 for e in range(cert.d) if (s ^ t) >> e & 1)
+            if len(extras) != k - j:
+                continue
+            if all(extras[idx] > cert.caps[j + idx] for idx in range(len(extras))):
+                hits.append((j, t))
+    return hits
+
+
+def test_unique_representation_matches_center_scan():
+    rng = random.Random(23)
+    certs = 0
+    while certs < 40:
+        d = rng.randint(6, 10)
+        fam, _ = fully_compress(VertexFamily(d, frozenset(
+            rng.sample(range(2**d), rng.randint(8, min(200, 2**(d - 1)))))))
+        cert = build_partition(fam, rng.choice([0.5, 0.6, 0.7]))
+        if cert.degenerate or cert.depth < 2:
+            continue
+        certs += 1
+        # a corrupted copy whose round-1 centers take in the round-1
+        # shell, so those vertices decompose twice
+        doubled = replace(cert, centers=(cert.centers[0],
+                                         cert.centers[1] | cert.shells[1],
+                                         *cert.centers[2:]))
+        for c in (cert, doubled):
+            for k in range(c.depth + 1):
+                for s in fam.members:
+                    assert (sorted(_unique_representation(s, k, c))
+                            == sorted(_scan_representations(s, k, c)))

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import brute_edges, brute_lambda1
+from cubespectra import spectral
 from cubespectra.core import VertexFamily, hamming_ball, initial_segment, star_family
 from cubespectra.spectral import (
+    DEFAULT_TOL,
     _root_of_int,
     classic_bounds,
     count_p2_c4,
@@ -48,8 +50,22 @@ def test_lambda1_certified_interval():
         assert res.converged
 
 
-def test_lambda1_nonconvergence_is_flagged():
-    res = lambda1(hamming_ball(6, 2), tol=1e-12, max_iterations=3)
+def test_lambda1_bound_survives_underflow():
+    # eight components; the runner-up (2.236 against 2.247) needs 5,340
+    # iterations, by which time the isolated vertices hold exactly 0.0
+    members = [3, 4, 15, 19, 31, 34, 35, 36, 37, 60, 61, 62, 63, 66, 68,
+               71, 77, 82, 92, 95, 100, 108, 114, 119, 120, 122]
+    res = lambda1(VertexFamily(7, frozenset(members)))
+    assert min(res.eigenvector.weights.get(v, 0.0) for v in members) == 0.0
+    truth = brute_lambda1(members, 7)
+    assert math.isfinite(res.error_bound)
+    assert res.lambda1 - 1e-9 <= truth <= res.lambda1 + res.error_bound + 1e-9
+    assert not res.converged or res.error_bound <= DEFAULT_TOL
+
+
+def test_lambda1_nonconvergence_is_flagged(monkeypatch):
+    monkeypatch.setattr(spectral, "MAX_POWER_ITERATIONS", 3)
+    res = lambda1(hamming_ball(6, 2), tol=1e-12)
     assert not res.converged
     # the bracket is still certified
     assert res.lambda1 <= 4.0 <= res.lambda1 + res.error_bound

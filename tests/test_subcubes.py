@@ -110,7 +110,7 @@ def test_count_monotone_under_compression():
     for bits in range(1, 1 << 16):
         members = frozenset(j for j in range(16) if bits >> j & 1)
         fam = VertexFamily(4, members)
-        comp, _ = fully_compress(fam, check_potential=False)
+        comp, _ = fully_compress(fam)
         for dp in range(5):
             assert (count_subcubes(comp, dp).count
                     >= count_subcubes(fam, dp).count)
