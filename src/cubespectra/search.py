@@ -12,6 +12,17 @@ already present: the member-local test that `is_compressed` applies to
 every member.  Members of a compressed n-family use elements at most
 n-1 and have size at most log2 n, which bounds the candidate pool.
 
+The maximization screens, then certifies.  Families are stacked in
+chunks of (F, n, n) adjacency matrices, and one `np.linalg.eigvalsh` call
+per chunk gives an estimate e of each lambda1.  The certified `lambda1`
+then runs on families in order of decreasing e, and stops at the first
+family whose e + SLACK lies below both best - TIE_EPS and the value at
+the last reported rank.  The stop is exact: a certified value is a
+Rayleigh quotient, so it is at most lambda1, and lambda1 is at most
+e + SLACK by the backward stability of `eigvalsh`.  No family left
+uncertified can therefore be a maximizer or a runner-up, and the result
+is the one that certifying every family gives.
+
 The partition machinery decomposes a compressed family into blocks of
 small internal degree plus disjoint star-ball neighbourhoods around
 "heavy" centers, where heaviness is measured by surviving iterated
@@ -21,9 +32,12 @@ assertion of that construction and reports witnesses for failures.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
 from math import log, sqrt
+
+import numpy as np
 
 from .compress import _member_violation, is_compressed
 from .core import (VertexFamily, adjacency_lists, elements_of, popcount,
@@ -31,6 +45,21 @@ from .core import (VertexFamily, adjacency_lists, elements_of, popcount,
 from .spectral import SpectralResult, lambda1
 
 TIE_EPS = 1e-9
+
+# An upper bound on lambda1 - e for any family the search can enumerate,
+# where e is the `eigvalsh` estimate.  `eigvalsh` is backward stable:
+# e is an eigenvalue of A + E with ||E|| <= c n eps ||A||, so
+# |e - lambda1| <= c n eps ||A||, and ||A|| <= max degree <= d <= 64.  The
+# Rayleigh quotient that `lambda1` certifies exceeds lambda1 by at most
+# its rounding, of the same order.  The enumeration recurses once per
+# member, so Python's default recursion limit keeps n below 1,000, and
+# both errors are below 1000 * 2.2e-16 * 64 = 1.4e-11: SLACK leaves a
+# factor of 70 for the constant c.
+SLACK = 1e-9
+
+# Entries of the (F, n, n) adjacency stack in one `eigvalsh` call: F is
+# SCREEN_ENTRIES // n**2 families (at least one), 512 KB of float64.
+SCREEN_ENTRIES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +121,15 @@ class SearchResult:
         return self.maximizers[0]
 
 
+def _screen(chunk: list[tuple[int, ...]]) -> list[float]:
+    """The top `eigvalsh` eigenvalue of each family's adjacency matrix;
+    `chunk` holds the families' sorted members, all of one size n."""
+    members = np.array(chunk, dtype=np.uint64)
+    diff = members[:, :, None] ^ members[:, None, :]
+    adjacent = (diff != 0) & ((diff & (diff - np.uint64(1))) == 0)
+    return np.linalg.eigvalsh(adjacent.astype(float))[:, -1].tolist()
+
+
 def max_lambda1(n: int, d: int, tol: float = 1e-10, top_k: int = 3,
                 max_families: int | None = None) -> SearchResult:
     """Maximize lambda1 over compressed n-families inside Q_d.
@@ -100,33 +138,58 @@ def max_lambda1(n: int, d: int, tol: float = 1e-10, top_k: int = 3,
     n-subsets of Q_d.  When d < n-1 some compressed families of size n
     do not fit in Q_d and the result is flagged `restricted` (it is
     still the exact maximum for Q_d itself).
+
+    Every family is screened by a batched `eigvalsh` estimate e, and
+    `lambda1` certifies families in order of decreasing e until e + SLACK
+    falls below both best - TIE_EPS and the value at rank (maximizers +
+    top_k).  A certified value is a Rayleigh quotient, so no family left
+    uncertified can reach a reported rank: every reported value is the
+    `lambda1` value, and the ranking is the one that certifying every
+    family would give.
     """
     if n > 2**d:
         raise ValueError(f"no family of size {n} fits in Q_{d}")
+    if top_k < 0:
+        raise ValueError(f"top_k must be >= 0, got {top_k}")
     restricted = d < n - 1
-    evaluated: list[tuple[float, tuple[int, ...]]] = []
-    visited = 0
+    cap_dim = min(d, max(n - 1, 1))
+    families: list[tuple[int, ...]] = []
     complete = True
-    for fam in enumerate_compressed(n, min(d, max(n - 1, 1))):
-        if max_families is not None and visited >= max_families:
+    for fam in enumerate_compressed(n, cap_dim):
+        if max_families is not None and len(families) >= max_families:
             complete = False
             break
-        visited += 1
-        value = lambda1(fam, tol).lambda1
-        evaluated.append((value, fam.sorted_members()))
-    if not evaluated:
+        families.append(fam.sorted_members())
+    if not families:
         raise ValueError("search yielded no families")
-    evaluated.sort(key=lambda pair: (-pair[0], pair[1]))
-    best = evaluated[0][0]
+    chunk = max(1, SCREEN_ENTRIES // (n * n))
+    estimates: list[float] = []
+    for start in range(0, len(families), chunk):
+        estimates += _screen(families[start:start + chunk])
+
+    def by_rank(pair):   # value descending, then members
+        return -pair[0], pair[1]
+
+    ranked: list[tuple[float, tuple[int, ...]]] = []   # certified, by_rank
+    for e, ms in sorted(zip(estimates, families), key=by_rank):
+        if ranked:
+            floor = ranked[0][0] - TIE_EPS
+            rank = sum(v >= floor for v, _ in ranked) + top_k
+            if (rank <= len(ranked) and
+                    e + SLACK < min(floor, ranked[rank - 1][0])):
+                break
+        fam = VertexFamily(cap_dim, frozenset(ms))
+        insort(ranked, (lambda1(fam, tol).lambda1, ms), key=by_rank)
+    best = ranked[0][0]
     maximizers = tuple(
         VertexFamily(d, frozenset(ms))
-        for v, ms in evaluated if v >= best - TIE_EPS
+        for v, ms in ranked if v >= best - TIE_EPS
     )
     runner_ups = tuple(
         (v, VertexFamily(d, frozenset(ms)))
-        for v, ms in evaluated[len(maximizers):len(maximizers) + top_k]
+        for v, ms in ranked[len(maximizers):len(maximizers) + top_k]
     )
-    return SearchResult(n, d, best, maximizers, runner_ups, visited,
+    return SearchResult(n, d, best, maximizers, runner_ups, len(families),
                         restricted, complete)
 
 

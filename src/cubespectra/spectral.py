@@ -59,8 +59,8 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
     iteration on A + I with a certified two-sided error bound."""
     if len(fam) == 0:
         raise ValueError("family is empty")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     n = len(fam)
     g = cube_graph(fam)
     verts = g.vertices.tolist()

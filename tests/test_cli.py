@@ -135,6 +135,26 @@ def test_search_out_file_and_budget(tmp_path, capsys):
     assert json.loads(out)["complete"] is False
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_exits_2(tmp_path, capsys, tol):
+    path = tmp_path / "seg.fam"
+    path.write_text(format_family(initial_segment(5, 3)))
+    for argv in (["lambda1", "--family", str(path), "--tol", tol],
+                 ["search", "--n", "12", "--d", "11", "--tol", tol]):
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_PRECONDITION
+        assert out == "" and "finite" in err
+        assert time.perf_counter() - start < 3.0
+
+
+def test_search_rejects_negative_top(capsys):
+    code, out, err = run_cli(
+        ["search", "--n", "12", "--d", "11", "--top", "-5"], capsys)
+    assert code == cli.EXIT_PRECONDITION
+    assert out == "" and "top_k" in err
+
+
 def test_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(["nosuchcmd"], capsys)
     assert code == cli.EXIT_USAGE and "unknown command" in err

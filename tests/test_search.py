@@ -6,9 +6,11 @@ from math import sqrt
 import pytest
 
 from conftest import brute_is_compressed, brute_lambda1
+from cubespectra import search
 from cubespectra.compress import is_compressed
 from cubespectra.core import VertexFamily, vertex_of
 from cubespectra.search import enumerate_compressed, max_lambda1, verify_star_regime
+from cubespectra.spectral import lambda1
 
 
 def test_enumeration_base_cases():
@@ -105,3 +107,73 @@ def test_search_space_counts_are_stable():
               for n in range(2, 14)}
     assert counts == {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 4, 8: 6, 9: 7,
                       10: 10, 11: 13, 12: 18, 13: 23}
+
+
+def certify_all(n, d, tol=1e-10, top_k=3, max_families=None):
+    """Reference search: `lambda1` on every enumerated family, then sort."""
+    evaluated = []
+    visited = 0
+    complete = True
+    for fam in enumerate_compressed(n, min(d, max(n - 1, 1))):
+        if max_families is not None and visited >= max_families:
+            complete = False
+            break
+        visited += 1
+        evaluated.append((lambda1(fam, tol).lambda1, fam.sorted_members()))
+    evaluated.sort(key=lambda pair: (-pair[0], pair[1]))
+    best = evaluated[0][0]
+    maximizers = tuple(VertexFamily(d, frozenset(ms))
+                       for v, ms in evaluated if v >= best - search.TIE_EPS)
+    runner_ups = tuple((v, VertexFamily(d, frozenset(ms)))
+                       for v, ms in evaluated[len(maximizers):
+                                              len(maximizers) + top_k])
+    return search.SearchResult(n, d, best, maximizers, runner_ups, visited,
+                               d < n - 1, complete)
+
+
+def result_fields(res):
+    """Every field of a SearchResult, floats by repr."""
+    return (res.n, res.d, repr(res.best_lambda1),
+            [(f.d, f.sorted_members()) for f in res.maximizers],
+            [(repr(v), f.d, f.sorted_members()) for v, f in res.runner_ups],
+            res.search_space_size, res.restricted, res.complete)
+
+
+SCREEN_CASES = ([(n, max(n - 1, 1), None) for n in range(1, 21)]
+                + [(6, 4, None), (9, 4, None), (12, 5, None), (16, 6, None),
+                   (20, 8, None), (24, 12, None)]
+                + [(14, 13, 1), (18, 17, 5), (20, 19, 40), (20, 6, 9)])
+
+
+@pytest.mark.parametrize("top_k", [0, 1, 3, 10])
+def test_screened_search_matches_certify_all(top_k):
+    for n, d, budget in SCREEN_CASES:
+        expected = certify_all(n, d, top_k=top_k, max_families=budget)
+        got = max_lambda1(n, d, top_k=top_k, max_families=budget)
+        assert result_fields(got) == result_fields(expected), (n, d, budget)
+
+
+def test_screened_search_matches_certify_all_with_ties(monkeypatch):
+    # No two compressed families with n < 16 tie within 1e-9; a wide
+    # tie window makes several maximizers, whose count sets the ranks.
+    monkeypatch.setattr(search, "TIE_EPS", 0.05)
+    tied = 0
+    for n in range(2, 16):
+        for top_k in (0, 3):
+            expected = certify_all(n, n - 1, top_k=top_k)
+            got = max_lambda1(n, n - 1, top_k=top_k)
+            assert result_fields(got) == result_fields(expected), (n, top_k)
+            tied += len(got.maximizers) > 1
+    assert tied >= 4
+
+
+def test_screen_certifies_few_families(monkeypatch):
+    calls = []
+
+    def counted(fam, tol):
+        calls.append(fam)
+        return lambda1(fam, tol)
+
+    monkeypatch.setattr(search, "lambda1", counted)
+    res = max_lambda1(28, 27)
+    assert len(calls) < 0.05 * res.search_space_size
