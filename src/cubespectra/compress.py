@@ -62,9 +62,6 @@ class WeightVector:
     def support_size(self) -> int:
         return len(self.weights)
 
-    def sorted_weights(self) -> tuple[float, ...]:
-        return tuple(sorted(self.weights.values()))
-
     def norm_squared(self) -> float:
         return sum(w * w for w in self.weights.values())
 
@@ -379,7 +376,3 @@ def read_vector(path) -> WeightVector:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_vector(fh.read())
 
-
-def write_vector(vec: WeightVector, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_vector(vec))

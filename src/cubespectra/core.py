@@ -203,19 +203,13 @@ def degree_profile(fam: VertexFamily) -> DegreeProfile:
 
 
 def mask_to_binary_string(mask: int, d: int) -> str:
-    return "".join("1" if mask >> j & 1 else "0" for j in range(d))
+    return format(mask, f"0{d}b")[::-1]
 
 
 def binary_string_to_mask(line: str, d: int) -> int:
-    if len(line) != d:
-        raise ValueError(f"vertex line {line!r} is not {d} characters long")
-    mask = 0
-    for j, ch in enumerate(line):
-        if ch == "1":
-            mask |= 1 << j
-        elif ch != "0":
-            raise ValueError(f"invalid character {ch!r} in vertex line {line!r}")
-    return mask
+    if len(line) != d or line.strip("01"):
+        raise ValueError(f"vertex line {line!r} is not {d} characters of 0/1")
+    return int(line[::-1], 2)
 
 
 def _strip_comment(line: str) -> str:

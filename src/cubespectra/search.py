@@ -12,16 +12,23 @@ already present: the member-local test that `is_compressed` applies to
 every member.  Members of a compressed n-family use elements at most
 n-1 and have size at most log2 n, which bounds the candidate pool.
 
+A certified family is an interval [lo, hi] for its lambda1 (`lambda1`'s
+`SpectralResult.interval()`).  Families rank by lo; the maximizers are
+the families whose hi reaches the best lo, so two families tie when their
+intervals overlap, and the runner-ups are the next `top_k` families that
+are not maximizers.
+
 The maximization screens, then certifies.  Families are stacked in
 chunks of (F, n, n) adjacency matrices, and one `np.linalg.eigvalsh` call
 per chunk gives an estimate e of each lambda1.  The certified `lambda1`
 then runs on families in order of decreasing e, and stops at the first
-family whose e + SLACK lies below both best - TIE_EPS and the value at
-the last reported rank.  The stop is exact: a certified value is a
-Rayleigh quotient, so it is at most lambda1, and lambda1 is at most
-e + SLACK by the backward stability of `eigvalsh`.  No family left
-uncertified can therefore be a maximizer or a runner-up, and the result
-is the one that certifying every family gives.
+family with e + SLACK + tol below the best lo and e + SLACK below the
+lowest lo among the reported families.  The stop is exact: lo is a
+Rayleigh quotient, so it is at most lambda1; a converged hi is at most
+lo + tol; and lambda1 is at most e + SLACK by the backward stability of
+`eigvalsh`.  No family left uncertified can therefore be a maximizer or
+a runner-up, and the result is the one that certifying every family
+gives.
 
 The partition machinery decomposes a compressed family into blocks of
 small internal degree plus disjoint star-ball neighbourhoods around
@@ -44,15 +51,14 @@ from .core import (VertexFamily, adjacency_lists, elements_of, popcount,
                    vertex_of, vertex_str)
 from .spectral import SpectralResult, lambda1
 
-TIE_EPS = 1e-9
-
 # An upper bound on lambda1 - e for any family the search can enumerate,
 # where e is the `eigvalsh` estimate.  `eigvalsh` is backward stable:
 # e is an eigenvalue of A + E with ||E|| <= c n eps ||A||, so
 # |e - lambda1| <= c n eps ||A||, and ||A|| <= max degree <= d <= 64.  The
 # Rayleigh quotient that `lambda1` certifies exceeds lambda1 by at most
 # its rounding, of the same order.  The enumeration recurses once per
-# member, so Python's default recursion limit keeps n below 1,000, and
+# member, and `enumerate_compressed` raises ValueError past Python's
+# recursion limit, so n stays below the default limit of 1,000, and
 # both errors are below 1000 * 2.2e-16 * 64 = 1.4e-11: SLACK leaves a
 # factor of 70 for the constant c.
 SLACK = 1e-9
@@ -98,7 +104,11 @@ def enumerate_compressed(n: int, cap_dim: int):
                 yield from rec(v)
                 members.remove(v)
 
-    yield from rec(0)
+    try:
+        yield from rec(0)
+    except RecursionError:
+        raise ValueError(f"n={n} is too large: the enumeration recurses once "
+                         f"per member, past Python's recursion limit") from None
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +140,15 @@ def _screen(chunk: list[tuple[int, ...]]) -> list[float]:
     return np.linalg.eigvalsh(adjacent.astype(float))[:, -1].tolist()
 
 
+def _split(ranked, top_k: int):
+    """Maximizers and runner-ups of (lo, hi, members) rows in rank order:
+    a maximizer's interval reaches the best lower end, and the runner-ups
+    are the first `top_k` other rows."""
+    best = ranked[0][0]
+    return ([r for r in ranked if r[1] >= best],
+            [r for r in ranked if r[1] < best][:top_k])
+
+
 def max_lambda1(n: int, d: int, tol: float = 1e-10, top_k: int = 3,
                 max_families: int | None = None) -> SearchResult:
     """Maximize lambda1 over compressed n-families inside Q_d.
@@ -139,13 +158,16 @@ def max_lambda1(n: int, d: int, tol: float = 1e-10, top_k: int = 3,
     do not fit in Q_d and the result is flagged `restricted` (it is
     still the exact maximum for Q_d itself).
 
-    Every family is screened by a batched `eigvalsh` estimate e, and
-    `lambda1` certifies families in order of decreasing e until e + SLACK
-    falls below both best - TIE_EPS and the value at rank (maximizers +
-    top_k).  A certified value is a Rayleigh quotient, so no family left
-    uncertified can reach a reported rank: every reported value is the
-    `lambda1` value, and the ranking is the one that certifying every
-    family would give.
+    Each certified family is a `lambda1` interval [lo, hi], and families
+    rank by lo.  The maximizers are the families whose hi reaches the
+    best lo (intervals that overlap tie); the runner-ups are the next
+    `top_k` non-maximizers with their lo.  Every family is screened by a
+    batched `eigvalsh` estimate e, and `lambda1` certifies families in
+    order of decreasing e until e + SLACK + tol falls below the best lo
+    and e + SLACK below the lowest reported lo.  Since lo <= lambda1 <=
+    e + SLACK and a converged hi is at most lo + tol, no family left
+    uncertified could be reported, and the result is the one that
+    certifying every family would give.
     """
     if n > 2**d:
         raise ValueError(f"no family of size {n} fits in Q_{d}")
@@ -167,28 +189,24 @@ def max_lambda1(n: int, d: int, tol: float = 1e-10, top_k: int = 3,
     for start in range(0, len(families), chunk):
         estimates += _screen(families[start:start + chunk])
 
-    def by_rank(pair):   # value descending, then members
-        return -pair[0], pair[1]
+    def by_rank(row):   # lower end descending, then members
+        return -row[0], row[2]
 
-    ranked: list[tuple[float, tuple[int, ...]]] = []   # certified, by_rank
-    for e, ms in sorted(zip(estimates, families), key=by_rank):
+    ranked: list[tuple[float, float, tuple[int, ...]]] = []   # (lo, hi, ms)
+    for e, ms in sorted(zip(estimates, families), key=lambda p: (-p[0], p[1])):
         if ranked:
-            floor = ranked[0][0] - TIE_EPS
-            rank = sum(v >= floor for v, _ in ranked) + top_k
-            if (rank <= len(ranked) and
-                    e + SLACK < min(floor, ranked[rank - 1][0])):
+            maxima, runners = _split(ranked, top_k)
+            floor = min(lo for lo, _, _ in maxima + runners)
+            if (len(runners) == top_k and e + SLACK + tol < ranked[0][0]
+                    and e + SLACK < floor):
                 break
         fam = VertexFamily(cap_dim, frozenset(ms))
-        insort(ranked, (lambda1(fam, tol).lambda1, ms), key=by_rank)
+        insort(ranked, (*lambda1(fam, tol).interval(), ms), key=by_rank)
+    maxima, runners = _split(ranked, top_k)
     best = ranked[0][0]
-    maximizers = tuple(
-        VertexFamily(d, frozenset(ms))
-        for v, ms in ranked if v >= best - TIE_EPS
-    )
-    runner_ups = tuple(
-        (v, VertexFamily(d, frozenset(ms)))
-        for v, ms in ranked[len(maximizers):len(maximizers) + top_k]
-    )
+    maximizers = tuple(VertexFamily(d, frozenset(ms)) for _, _, ms in maxima)
+    runner_ups = tuple((lo, VertexFamily(d, frozenset(ms)))
+                       for lo, _, ms in runners)
     return SearchResult(n, d, best, maximizers, runner_ups, len(families),
                         restricted, complete)
 

@@ -8,7 +8,10 @@ Three solvers live here:
   and restores dominance.  The returned interval is certified: the
   Rayleigh quotient bounds the top eigenvalue from below, and the
   Collatz-Wielandt ratio max_u (Bx)_u / x_u (valid for any strictly
-  positive x and nonnegative B) bounds it from above.
+  positive x and nonnegative B) bounds it from above.  The iteration
+  stops on that gap: as soon as it is at most `tol`, or after
+  MAX_POWER_ITERATIONS.  The gap is the reported `error_bound`, and
+  `converged` means `error_bound <= tol`.
 
 * `hamming_lambda1_exact` -- the Hamming ball's Perron vector is uniform
   on each level, which collapses the eigenproblem to an (i+1)x(i+1)
@@ -56,7 +59,12 @@ class SpectralResult:
 
 def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
     """Largest adjacency eigenvalue of the induced subgraph, by power
-    iteration on A + I with a certified two-sided error bound."""
+    iteration on A + I.
+
+    Each iteration brackets lambda1 between the Rayleigh quotient and the
+    Collatz-Wielandt bound, and the iteration stops as soon as that gap is
+    at most `tol`, or after MAX_POWER_ITERATIONS.  The gap is the returned
+    `error_bound`, so `converged` is exactly `error_bound <= tol`."""
     if len(fam) == 0:
         raise ValueError("family is empty")
     if not 0 < tol < math.inf:
@@ -81,73 +89,36 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
         )
     matvec = mat.dot
 
-    x = np.full(n, 1.0 / sqrt(n))
-    rho_prev = None
-    iterations = 0
-    converged = False
-    while iterations < MAX_POWER_ITERATIONS:
-        y = matvec(x)
-        rho = float(x.dot(y))          # Rayleigh quotient of A+I at unit x
-        residual = y - rho * x
-        res_inf = float(np.max(np.abs(residual)))
-        if rho_prev is not None and abs(rho - rho_prev) < tol / 4 and res_inf < tol:
-            converged = True
-            break
-        rho_prev = rho
-        x = y / np.linalg.norm(y)
-        iterations += 1
-    else:
-        y = matvec(x)
-        rho = float(x.dot(y))
-        res_inf = float(np.max(np.abs(y - rho * x)))
-
     # The Collatz-Wielandt ratio bounds rho(A + I) for positive x.  On a
-    # component far below the dominant one x underflows to 0.0: an all-zero
-    # component takes 1 + its degrees instead, a partly zero one has some
-    # x_u = 0 < y_u, whose infinite ratio is capped by rho <= 1 + max degree.
-    degrees = np.diff(g.indptr)
+    # component far below the dominant one x underflows to 0.0: a vertex
+    # with x_u = 0 < y_u has an infinite ratio, capped by rho <= the
+    # largest row sum of A + I, and an all-zero component takes its row
+    # sums instead.
+    row_sums = 1.0 + np.diff(g.indptr)
+    cap = float(row_sums.max())
+
+    x = np.full(n, 1.0 / sqrt(n))
+    iterations = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(x > 0, y / x, np.where(y > 0, np.inf, 1.0 + degrees))
-    cw_upper = min(float(ratios.max()), 1.0 + float(degrees.max()))
-    error = max(cw_upper - rho, res_inf)
+        while True:
+            y = matvec(x)
+            rho = float(x.dot(y))      # Rayleigh quotient of A+I at unit x
+            ratios = y / x             # nan where x_u = y_u = 0
+            upper = float(np.where(np.isnan(ratios), row_sums, ratios).max())
+            # rounding can put the ratio a few ulps below rho: gap 0
+            error = max(min(upper, cap) - rho, 0.0)
+            if error <= tol or iterations == MAX_POWER_ITERATIONS:
+                break
+            x = y / np.linalg.norm(y)
+            iterations += 1
+
     vec = WeightVector(fam.d, {v: float(w) for v, w in zip(verts, x)})
-    return SpectralResult(rho - 1.0, error, vec, iterations, "power", converged)
+    return SpectralResult(rho - 1.0, error, vec, iterations, "power",
+                          error <= tol)
 
 
 # ---------------------------------------------------------------------------
 # Exact Hamming-ball solver via the level reduction.
-
-
-@dataclass(frozen=True)
-class ReducedLevelSystem:
-    """Tridiagonal level system for the ball of radius i in Q_d:
-    row j reads  lambda x_j = j x_{j-1} + (d-j) x_{j+1}  (ends truncated)."""
-
-    d: int
-    i: int
-
-    def __post_init__(self):
-        if not 0 <= self.i <= self.d:
-            raise ValueError(f"radius {self.i} out of range 0..{self.d}")
-
-    def symmetric_offdiagonal(self) -> list[float]:
-        # entry j couples levels j-1 and j; similarity scaling gives
-        # sqrt(j * (d - j + 1))
-        return [sqrt(j * (self.d - j + 1)) for j in range(1, self.i + 1)]
-
-
-@dataclass(frozen=True)
-class LimitConstantSystem:
-    """The d -> infinity tridiagonal: sub-diagonal j, super-diagonal 1."""
-
-    i: int
-
-    def __post_init__(self):
-        if self.i < 1:
-            raise ValueError("radius must be >= 1")
-
-    def symmetric_offdiagonal(self) -> list[float]:
-        return [sqrt(j) for j in range(1, self.i + 1)]
 
 
 def _sturm_count_below(off: list[float], x: float) -> int:
@@ -195,11 +166,15 @@ def _top_eigenvalue_bisect(off: list[float], tol: float) -> tuple[float, float]:
 def hamming_lambda1_exact(d: int, i: int, tol: float = 1e-12) -> SpectralResult:
     """Exact top eigenvalue of the Hamming ball H_d^i via the level
     reduction, plus the per-level weights of its Perron vector."""
-    system = ReducedLevelSystem(d, i)
+    if not 0 <= i <= d:
+        raise ValueError(f"radius {i} out of range 0..{d}")
     if i == 0:
         return SpectralResult(0.0, 0.0, None, 0, "reduced-tridiagonal",
                               level_weights=(1.0,))
-    off = system.symmetric_offdiagonal()
+    # Row j of the level system reads lambda x_j = j x_{j-1} + (d-j) x_{j+1}
+    # (ends truncated); the similarity scaling couples levels j-1 and j by
+    # sqrt(j * (d - j + 1)).
+    off = [sqrt(j * (d - j + 1)) for j in range(1, i + 1)]
     lam, halfw = _top_eigenvalue_bisect(off, tol)
 
     # level weights from the unsymmetrized recurrence, x_0 = 1
@@ -219,8 +194,10 @@ def hamming_lambda1_exact(d: int, i: int, tol: float = 1e-12) -> SpectralResult:
 
 def limit_constant(i: int, tol: float = 1e-13) -> float:
     """The limit of lambda1(H_d^i)/sqrt(d) as d grows, radius i fixed."""
-    system = LimitConstantSystem(i)
-    lam, _ = _top_eigenvalue_bisect(system.symmetric_offdiagonal(), tol)
+    if i < 1:
+        raise ValueError("radius must be >= 1")
+    # the d -> infinity system: sub-diagonal j, super-diagonal 1
+    lam, _ = _top_eigenvalue_bisect([sqrt(j) for j in range(1, i + 1)], tol)
     return lam
 
 

@@ -89,10 +89,7 @@ def generalized_binomial(x: float, k: int) -> float:
         raise ValueError("k must be nonnegative")
     if x < k:
         return 0.0
-    value = 1.0
-    for t in range(k):
-        value *= (x - t) / (k - t)
-    return value
+    return raw_generalized_binomial(x, k)
 
 
 def raw_generalized_binomial(x: float, k: int) -> float:

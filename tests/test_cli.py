@@ -76,6 +76,11 @@ def test_lambda1_and_bounds_commands(tmp_path, capsys):
     record = json.loads(out)
     assert record["classic"]["fms"] == 2.0
     assert record["walk_counts"]["bounds_hold"] is True
+    # a converged sparse-path result honours the default tol
+    path.write_text(format_family(initial_segment(300, 9)))
+    code, out, _ = run_cli(["lambda1", "--family", str(path)], capsys)
+    record = json.loads(out)
+    assert record["diagnostics"]["converged"] and record["error_bound"] <= 1e-10
 
 
 def test_compress_command(tmp_path, capsys):
@@ -153,6 +158,13 @@ def test_search_rejects_negative_top(capsys):
         ["search", "--n", "12", "--d", "11", "--top", "-5"], capsys)
     assert code == cli.EXIT_PRECONDITION
     assert out == "" and "top_k" in err
+
+
+def test_search_too_deep_for_recursion_exits_2(capsys):
+    code, out, err = run_cli(
+        ["search", "--n", "1200", "--d", "20", "--budget", "1"], capsys)
+    assert code == cli.EXIT_PRECONDITION
+    assert out == "" and "n=1200" in err and err.count("\n") == 1
 
 
 def test_exit_codes(capsys, tmp_path):

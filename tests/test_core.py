@@ -174,5 +174,7 @@ def test_family_file_errors_and_comments():
         parse_family("d=3\n00\n")            # wrong length
     with pytest.raises(ValueError):
         parse_family("d=3\n002\n")           # bad character
+    with pytest.raises(ValueError, match="'0_1'"):
+        parse_family("d=3\n0_1\n")           # int(_, 2) would accept it
     with pytest.raises(ValueError):
         parse_family("000\n")                # missing header

@@ -10,7 +10,7 @@ from cubespectra import search
 from cubespectra.compress import is_compressed
 from cubespectra.core import VertexFamily, vertex_of
 from cubespectra.search import enumerate_compressed, max_lambda1, verify_star_regime
-from cubespectra.spectral import lambda1
+from cubespectra.spectral import SpectralResult, lambda1
 
 
 def test_enumeration_base_cases():
@@ -110,7 +110,9 @@ def test_search_space_counts_are_stable():
 
 
 def certify_all(n, d, tol=1e-10, top_k=3, max_families=None):
-    """Reference search: `lambda1` on every enumerated family, then sort."""
+    """Reference search: `lambda1` on every enumerated family, then rank
+    by lower end; maximizers are the intervals reaching the best lower
+    end, runner-ups the next `top_k` others."""
     evaluated = []
     visited = 0
     complete = True
@@ -119,14 +121,13 @@ def certify_all(n, d, tol=1e-10, top_k=3, max_families=None):
             complete = False
             break
         visited += 1
-        evaluated.append((lambda1(fam, tol).lambda1, fam.sorted_members()))
-    evaluated.sort(key=lambda pair: (-pair[0], pair[1]))
-    best = evaluated[0][0]
+        evaluated.append((lambda1(fam, tol).interval(), fam.sorted_members()))
+    evaluated.sort(key=lambda pair: (-pair[0][0], pair[1]))
+    best = evaluated[0][0][0]
     maximizers = tuple(VertexFamily(d, frozenset(ms))
-                       for v, ms in evaluated if v >= best - search.TIE_EPS)
-    runner_ups = tuple((v, VertexFamily(d, frozenset(ms)))
-                       for v, ms in evaluated[len(maximizers):
-                                              len(maximizers) + top_k])
+                       for (_, hi), ms in evaluated if hi >= best)
+    runner_ups = tuple((lo, VertexFamily(d, frozenset(ms)))
+                       for (lo, hi), ms in evaluated if hi < best)[:top_k]
     return search.SearchResult(n, d, best, maximizers, runner_ups, visited,
                                d < n - 1, complete)
 
@@ -153,18 +154,37 @@ def test_screened_search_matches_certify_all(top_k):
         assert result_fields(got) == result_fields(expected), (n, d, budget)
 
 
-def test_screened_search_matches_certify_all_with_ties(monkeypatch):
-    # No two compressed families with n < 16 tie within 1e-9; a wide
-    # tie window makes several maximizers, whose count sets the ranks.
-    monkeypatch.setattr(search, "TIE_EPS", 0.05)
+def test_screened_search_matches_certify_all_with_ties():
+    # No two compressed families with n < 16 have overlapping intervals
+    # at tol = 1e-10; at a wide tol they do, and the tied maximizers set
+    # which families can still be runner-ups.
     tied = 0
     for n in range(2, 16):
         for top_k in (0, 3):
-            expected = certify_all(n, n - 1, top_k=top_k)
-            got = max_lambda1(n, n - 1, top_k=top_k)
+            expected = certify_all(n, n - 1, tol=0.1, top_k=top_k)
+            got = max_lambda1(n, n - 1, tol=0.1, top_k=top_k)
             assert result_fields(got) == result_fields(expected), (n, top_k)
             tied += len(got.maximizers) > 1
     assert tied >= 4
+
+
+def test_maximizers_need_not_lead_the_lower_end_order(monkeypatch):
+    # n = 7 has four compressed families; give the one ranked third by
+    # lower end an interval wide enough to reach the best lower end.
+    fams = [f.sorted_members() for f in enumerate_compressed(7, 6)]
+    intervals = dict(zip(fams, [(2.0, 2.01), (1.9, 1.91), (1.8, 2.05),
+                                (1.7, 1.71)]))
+
+    def crafted(fam, tol):
+        lo, hi = intervals[fam.sorted_members()]
+        return SpectralResult(lo, hi - lo, None, 0, "crafted", hi - lo <= tol)
+
+    monkeypatch.setattr(search, "lambda1", crafted)
+    res = max_lambda1(7, 6, tol=0.5, top_k=2)
+    assert [f.sorted_members() for f in res.maximizers] == [fams[0], fams[2]]
+    assert [(v, f.sorted_members()) for v, f in res.runner_ups] == [
+        (1.9, fams[1]), (1.7, fams[3])]
+    assert res.best_lambda1 == 2.0
 
 
 def test_screen_certifies_few_families(monkeypatch):

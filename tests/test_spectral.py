@@ -48,6 +48,7 @@ def test_lambda1_certified_interval():
         truth = brute_lambda1(members, d)
         assert res.lambda1 - 1e-9 <= truth <= res.lambda1 + res.error_bound + 1e-9
         assert res.converged
+        assert res.error_bound <= 1e-10
 
 
 def test_lambda1_bound_survives_underflow():
