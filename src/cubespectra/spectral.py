@@ -10,8 +10,8 @@ Three solvers live here:
   Collatz-Wielandt ratio max_u (Bx)_u / x_u (valid for any strictly
   positive x and nonnegative B) bounds it from above.  The iteration
   stops on that gap: as soon as it is at most `tol`, or after
-  MAX_POWER_ITERATIONS.  The gap is the reported `error_bound`, and
-  `converged` means `error_bound <= tol`.
+  MAX_POWER_ITERATIONS.  The gap, floored at one unit of rounding, is
+  the reported `error_bound`, and `converged` means `error_bound <= tol`.
 
 * `hamming_lambda1_exact` -- the Hamming ball's Perron vector is uniform
   on each level, which collapses the eigenproblem to an (i+1)x(i+1)
@@ -63,8 +63,10 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
 
     Each iteration brackets lambda1 between the Rayleigh quotient and the
     Collatz-Wielandt bound, and the iteration stops as soon as that gap is
-    at most `tol`, or after MAX_POWER_ITERATIONS.  The gap is the returned
-    `error_bound`, so `converged` is exactly `error_bound <= tol`."""
+    at most `tol`, or after MAX_POWER_ITERATIONS.  The gap, never less
+    than one ulp of the quotient, is the returned `error_bound`, so
+    `converged` is exactly `error_bound <= tol`, and a `tol` below
+    rounding is never met."""
     if len(fam) == 0:
         raise ValueError("family is empty")
     if not 0 < tol < math.inf:
@@ -105,8 +107,9 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
             rho = float(x.dot(y))      # Rayleigh quotient of A+I at unit x
             ratios = y / x             # nan where x_u = y_u = 0
             upper = float(np.where(np.isnan(ratios), row_sums, ratios).max())
-            # rounding can put the ratio a few ulps below rho: gap 0
-            error = max(min(upper, cap) - rho, 0.0)
+            # rounding can put the ratio below rho; the gap is never
+            # reported under one ulp of rho, so a tol below that is unmet
+            error = max(min(upper, cap) - rho, float(np.spacing(rho)))
             if error <= tol or iterations == MAX_POWER_ITERATIONS:
                 break
             x = y / np.linalg.norm(y)

@@ -155,9 +155,9 @@ def test_screened_search_matches_certify_all(top_k):
 
 
 def test_screened_search_matches_certify_all_with_ties():
-    # No two compressed families with n < 16 have overlapping intervals
-    # at tol = 1e-10; at a wide tol they do, and the tied maximizers set
-    # which families can still be runner-ups.
+    # No compressed family with n < 16 has two maximizers at tol = 1e-10;
+    # at a wide tol several do, and the tied maximizers set which
+    # families can still be runner-ups.
     tied = 0
     for n in range(2, 16):
         for top_k in (0, 3):
@@ -166,6 +166,32 @@ def test_screened_search_matches_certify_all_with_ties():
             assert result_fields(got) == result_fields(expected), (n, top_k)
             tied += len(got.maximizers) > 1
     assert tied >= 4
+
+
+def test_families_with_equal_lambda1_tie():
+    # Lower ends that agree to 1e-12 come from equal eigenvalues; their
+    # intervals must overlap, or rounding would split a tie.
+    groups = 0
+    for n in range(2, 21):
+        rows = sorted(lambda1(f).interval() for f in enumerate_compressed(n, n - 1))
+        start = 0
+        for i in range(1, len(rows) + 1):
+            if i == len(rows) or rows[i][0] - rows[i - 1][0] >= 1e-12:
+                group = rows[start:i]
+                if len(group) > 1:
+                    groups += 1
+                    assert max(lo for lo, _ in group) <= min(hi for _, hi in group), n
+                start = i
+    assert groups >= 100
+
+
+def test_one_maximizer_up_to_28():
+    # The maximum is attained by one compressed family for n = 13..28 at
+    # d = n - 1, and the next family is more than 1e-9 below it.
+    for n in range(13, 29):
+        res = max_lambda1(n, n - 1, top_k=1)
+        assert len(res.maximizers) == 1, n
+        assert res.best_lambda1 - res.runner_ups[0][0] > 1e-9, n
 
 
 def test_maximizers_need_not_lead_the_lower_end_order(monkeypatch):

@@ -72,6 +72,18 @@ def test_lambda1_nonconvergence_is_flagged(monkeypatch):
     assert res.lambda1 <= 4.0 <= res.lambda1 + res.error_bound
 
 
+def test_lambda1_tol_below_rounding_is_not_met(monkeypatch):
+    # the uniform start is Q_3's Perron vector, so the exact gap is 0; the
+    # first 100 vertices of Q_8 reach a rounded gap of 0 after ~100 steps
+    monkeypatch.setattr(spectral, "MAX_POWER_ITERATIONS", 300)
+    for fam in (initial_segment(8, 3), initial_segment(100, 8)):
+        res = lambda1(fam)
+        assert res.converged and 0.0 < res.error_bound <= DEFAULT_TOL
+        res = lambda1(fam, tol=1e-300)
+        assert not res.converged and res.iterations == 300
+        assert res.error_bound >= np.spacing(res.lambda1 + 1.0)
+
+
 def test_lambda1_eigenvector_properties():
     for fam in (hamming_ball(5, 2), initial_segment(12, 4), hamming_ball(6, 1)):
         res = lambda1(fam)
