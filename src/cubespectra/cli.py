@@ -294,8 +294,9 @@ def _cmd_selftest(args, config):
     rng = random.Random(config.seed)
     checks = []
 
+    vectors = 200
     violations = 0
-    for _ in range(args.vectors):
+    for _ in range(vectors):
         vec = comp.WeightVector(
             5, {v: rng.gauss(0, 1) for v in rng.sample(range(32), 12)})
         before = comp.rayleigh(vec)
@@ -405,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", default="goldens")
 
     sub("selftest", help="seeded invariant spot-checks")
-    parser.set_defaults(vectors=200)
     return parser
 
 

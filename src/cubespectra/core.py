@@ -13,6 +13,7 @@ every set operation stays a single-word bit operation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -117,7 +118,8 @@ def hamming_ball(d: int, i: int) -> VertexFamily:
     """All vertices with at most i elements; size sum_{j<=i} C(d,j)."""
     if not 0 <= i <= d:
         raise ValueError(f"radius i={i} out of range 0..{d}")
-    members = [m for m in range(1 << d) if m.bit_count() <= i]
+    bits = [1 << e for e in range(d)]
+    members = (sum(c) for j in range(i + 1) for c in combinations(bits, j))
     return VertexFamily(d, frozenset(members))
 
 

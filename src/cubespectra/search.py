@@ -18,17 +18,16 @@ the families whose hi reaches the best lo, so two families tie when their
 intervals overlap, and the runner-ups are the next `top_k` families that
 are not maximizers.
 
-The maximization screens, then certifies.  Families are stacked in
-chunks of (F, n, n) adjacency matrices, and one `np.linalg.eigvalsh` call
-per chunk gives an estimate e of each lambda1.  The certified `lambda1`
-then runs on families in order of decreasing e, and stops at the first
-family with e + SLACK + tol below the best lo and e + SLACK below the
-lowest lo among the reported families.  The stop is exact: lo is a
-Rayleigh quotient, so it is at most lambda1; a converged hi is at most
-lo + tol; and lambda1 is at most e + SLACK by the backward stability of
-`eigvalsh`.  No family left uncertified can therefore be a maximizer or
-a runner-up, and the result is the one that certifying every family
-gives.
+The maximization screens, then certifies.  `_screen` gives each family
+an upper bound u: the Collatz-Wielandt ratio max_v (Bx)_v / x_v of
+B = A + I at the positive x reached by SCREEN_STEPS batched power steps,
+rounded up by a relative 1 + 4 n eps, minus 1.  `lambda1` then certifies
+families in order of decreasing u, and stops at the first family with
+u + tol below the best lo and u below the lowest reported lo.  The stop
+is exact: no lo that `lambda1` computes exceeds u, and a converged hi is
+at most lo + tol.  No family left uncertified can therefore be a
+maximizer or a runner-up, and the result is the one that certifying
+every family gives.
 
 The partition machinery decomposes a compressed family into blocks of
 small internal degree plus disjoint star-ball neighbourhoods around
@@ -51,20 +50,12 @@ from .core import (VertexFamily, adjacency_lists, elements_of, popcount,
                    vertex_of, vertex_str)
 from .spectral import SpectralResult, lambda1
 
-# An upper bound on lambda1 - e for any family the search can enumerate,
-# where e is the `eigvalsh` estimate.  `eigvalsh` is backward stable:
-# e is an eigenvalue of A + E with ||E|| <= c n eps ||A||, so
-# |e - lambda1| <= c n eps ||A||, and ||A|| <= max degree <= d <= 64.  The
-# Rayleigh quotient that `lambda1` certifies exceeds lambda1 by at most
-# its rounding, of the same order.  The enumeration recurses once per
-# member, and `enumerate_compressed` raises ValueError past Python's
-# recursion limit, so n stays below the default limit of 1,000, and
-# both errors are below 1000 * 2.2e-16 * 64 = 1.4e-11: SLACK leaves a
-# factor of 70 for the constant c.
-SLACK = 1e-9
+# Power steps before the screen's Collatz-Wielandt ratio: more steps leave
+# fewer families to `lambda1`, and no count, 0 included, alters a result.
+SCREEN_STEPS = 12
 
-# Entries of the (F, n, n) adjacency stack in one `eigvalsh` call: F is
-# SCREEN_ENTRIES // n**2 families (at least one), 512 KB of float64.
+# Entries of one (F, n, n) screen stack: F is SCREEN_ENTRIES // n**2
+# families (at least one), 512 KB of float64.
 SCREEN_ENTRIES = 1 << 16
 
 
@@ -132,12 +123,23 @@ class SearchResult:
 
 
 def _screen(chunk: list[tuple[int, ...]]) -> list[float]:
-    """The top `eigvalsh` eigenvalue of each family's adjacency matrix;
-    `chunk` holds the families' sorted members, all of one size n."""
+    """Each family's Collatz-Wielandt bound on lambda1, rounded up past
+    every lower end `lambda1` computes; `chunk` holds the families' sorted
+    members, all of one size n.  Power steps on B = A + I keep x positive,
+    as a compressed family is down-closed, so connected."""
     members = np.array(chunk, dtype=np.uint64)
     diff = members[:, :, None] ^ members[:, None, :]
-    adjacent = (diff != 0) & ((diff & (diff - np.uint64(1))) == 0)
-    return np.linalg.eigvalsh(adjacent.astype(float))[:, -1].tolist()
+    b = ((diff & (diff - np.uint64(1))) == 0).astype(float)   # A + I
+    x = np.ones((*members.shape, 1))
+    for _ in range(SCREEN_STEPS):
+        x = b @ x
+        x /= x.max(axis=1, keepdims=True)
+    ratio = (b @ x / x).max(axis=(1, 2))
+    # Rounding, in eps = 2**-52: each row sum (at most d + 1 <= n positive
+    # terms) errs by n/2 here and in `lambda1`, whose Rayleigh quotient
+    # (n terms, at |x|^2 <= 1 + n/2 + 2) adds n + 2; with this division
+    # and product, 2n + 3 <= 4n for n >= 2 (n = 1 is exact).
+    return (ratio * (1 + 4 * len(chunk[0]) * np.finfo(float).eps) - 1).tolist()
 
 
 def _split(ranked, top_k: int):
@@ -161,13 +163,11 @@ def max_lambda1(n: int, d: int, tol: float = 1e-10, top_k: int = 3,
     Each certified family is a `lambda1` interval [lo, hi], and families
     rank by lo.  The maximizers are the families whose hi reaches the
     best lo (intervals that overlap tie); the runner-ups are the next
-    `top_k` non-maximizers with their lo.  Every family is screened by a
-    batched `eigvalsh` estimate e, and `lambda1` certifies families in
-    order of decreasing e until e + SLACK + tol falls below the best lo
-    and e + SLACK below the lowest reported lo.  Since lo <= lambda1 <=
-    e + SLACK and a converged hi is at most lo + tol, no family left
-    uncertified could be reported, and the result is the one that
-    certifying every family would give.
+    `top_k` non-maximizers with their lo.  `lambda1` certifies families
+    in order of decreasing screen bound u (`_screen`: a Collatz-Wielandt
+    bound, rounded up past every lo `lambda1` computes) until u + tol
+    falls below the best lo and u below the lowest reported lo, so the
+    result is the one that certifying every family would give.
     """
     if n > 2**d:
         raise ValueError(f"no family of size {n} fits in Q_{d}")
@@ -185,20 +185,18 @@ def max_lambda1(n: int, d: int, tol: float = 1e-10, top_k: int = 3,
     if not families:
         raise ValueError("search yielded no families")
     chunk = max(1, SCREEN_ENTRIES // (n * n))
-    estimates: list[float] = []
-    for start in range(0, len(families), chunk):
-        estimates += _screen(families[start:start + chunk])
+    bounds = [u for start in range(0, len(families), chunk)
+              for u in _screen(families[start:start + chunk])]
 
     def by_rank(row):   # lower end descending, then members
         return -row[0], row[2]
 
     ranked: list[tuple[float, float, tuple[int, ...]]] = []   # (lo, hi, ms)
-    for e, ms in sorted(zip(estimates, families), key=lambda p: (-p[0], p[1])):
+    for u, ms in sorted(zip(bounds, families), key=lambda p: (-p[0], p[1])):
         if ranked:
             maxima, runners = _split(ranked, top_k)
             floor = min(lo for lo, _, _ in maxima + runners)
-            if (len(runners) == top_k and e + SLACK + tol < ranked[0][0]
-                    and e + SLACK < floor):
+            if len(runners) == top_k and u + tol < ranked[0][0] and u < floor:
                 break
         fam = VertexFamily(cap_dim, frozenset(ms))
         insort(ranked, (*lambda1(fam, tol).interval(), ms), key=by_rank)
@@ -295,6 +293,19 @@ def _members_within(members, cap_elements: int) -> frozenset[int]:
     return frozenset(s for s in members if s & ~allowed == 0)
 
 
+def _round(members, d: int, k: int, shells, centers, caps, covered):
+    """Shell and centers of round k >= 1, derived from round k - 1's
+    shell, centers and covered set and from the caps."""
+    shell = set()
+    for s in shells[k - 1] | centers[k - 1]:
+        for t in range(caps[k - 1] + 1, d + 1):
+            bit = 1 << (t - 1)
+            if not s & bit and s | bit in members:
+                shell.add(s | bit)
+    shell = frozenset(shell)
+    return shell, _members_within(members, caps[k]) - covered[k - 1] - shell
+
+
 def build_partition(fam: VertexFamily, epsilon: float) -> PartitionCertificate:
     """Construct the heavy-vertex partition of a compressed family."""
     ok, violation = is_compressed(fam)
@@ -349,17 +360,10 @@ def build_partition(fam: VertexFamily, epsilon: float) -> PartitionCertificate:
         index_pools.append(frozenset(pool))
         caps.append(max(pool))
 
-        prev_block = shells[k - 1] | centers[k - 1]
-        shell = set()
-        for s in prev_block:
-            for t in range(caps[k - 1] + 1, d + 1):
-                bit = 1 << (t - 1)
-                if not s & bit and s | bit in members:
-                    shell.add(s | bit)
-        shells.append(frozenset(shell))
-        center = _members_within(members, caps[k]) - covered[-1] - shells[k]
-        centers.append(frozenset(center))
-        covered.append(covered[-1] | shells[k] | centers[k])
+        shell, center = _round(members, d, k, shells, centers, caps, covered)
+        shells.append(shell)
+        centers.append(center)
+        covered.append(covered[-1] | shell | center)
 
     star_balls: dict[tuple[int, int], frozenset[int]] = {}
     for k in range(depth):
@@ -481,17 +485,10 @@ def verify_partition(cert: PartitionCertificate, fam: VertexFamily) -> Partition
                                  "round 0 centers are not the low-element vertices")
     if part2.passed:
         for k in range(1, depth + 1):
-            prev_block = cert.shells[k - 1] | cert.centers[k - 1]
-            shell = set()
-            for s in prev_block:
-                for t in range(cert.caps[k - 1] + 1, d + 1):
-                    bit = 1 << (t - 1)
-                    if not s & bit and s | bit in members:
-                        shell.add(s | bit)
-            center = (_members_within(members, cert.caps[k])
-                      - cert.covered[k - 1] - frozenset(shell))
-            if frozenset(shell) != cert.shells[k]:
-                bad = sorted(frozenset(shell) ^ cert.shells[k])[0]
+            shell, center = _round(members, d, k, cert.shells, cert.centers,
+                                   cert.caps, cert.covered)
+            if shell != cert.shells[k]:
+                bad = sorted(shell ^ cert.shells[k])[0]
                 part2 = CheckOutcome(
                     "blocks_partition_vertices", False,
                     f"round {k} shell mismatch at {vertex_str(bad)}")

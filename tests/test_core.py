@@ -89,6 +89,21 @@ def test_hamming_ball_sizes():
         hamming_ball(4, 5)
 
 
+def test_hamming_ball_matches_mask_scan():
+    # the definition: every mask of Q_d with at most i elements
+    for d in range(1, 11):
+        for i in range(d + 1):
+            scan = frozenset(m for m in range(1 << d) if m.bit_count() <= i)
+            assert hamming_ball(d, i).members == scan, (d, i)
+
+
+def test_hamming_ball_in_dimension_64():
+    # 1 + 64 + C(64, 2) members; a scan would visit 2^64 masks
+    ball = hamming_ball(64, 2)
+    assert len(ball) == 1 + 64 + comb(64, 2) == 2081
+    assert (1 << 63) | (1 << 62) in ball
+
+
 def test_family_nesting():
     for d in range(2, 7):
         for i in range(d):

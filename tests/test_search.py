@@ -8,7 +8,7 @@ import pytest
 from conftest import brute_is_compressed, brute_lambda1
 from cubespectra import search
 from cubespectra.compress import is_compressed
-from cubespectra.core import VertexFamily, vertex_of
+from cubespectra.core import VertexFamily, degree_profile, vertex_of
 from cubespectra.search import enumerate_compressed, max_lambda1, verify_star_regime
 from cubespectra.spectral import SpectralResult, lambda1
 
@@ -223,3 +223,20 @@ def test_screen_certifies_few_families(monkeypatch):
     monkeypatch.setattr(search, "lambda1", counted)
     res = max_lambda1(28, 27)
     assert len(calls) < 0.05 * res.search_space_size
+
+
+@pytest.mark.parametrize("steps", [None, 0, 1, 200])
+def test_screen_bounds_every_lower_end(monkeypatch, steps):
+    # The screen's bound reaches the lower end `lambda1` computes on every
+    # family, after the committed number of power steps, after 0 (the
+    # maximum degree) or 1, and after 200, where the ratio meets lambda1
+    # to within rounding and only the screen's round-up keeps it above.
+    if steps is not None:
+        monkeypatch.setattr(search, "SCREEN_STEPS", steps)
+    for n in range(1, 17):
+        fams = list(enumerate_compressed(n, max(n - 1, 1)))
+        bounds = search._screen([f.sorted_members() for f in fams])
+        for fam, u in zip(fams, bounds):
+            assert u >= lambda1(fam).interval()[0], (n, fam.sorted_members())
+            if steps == 0:
+                assert 0 <= u - degree_profile(fam).max_degree < 1e-12
