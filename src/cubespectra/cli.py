@@ -18,7 +18,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from . import compress as comp
 from . import core, search, spectral, subcubes
@@ -27,13 +26,6 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_BUDGET = 3
 EXIT_USAGE = 64
-
-
-@dataclass
-class RunConfig:
-    seed: int = 0
-    output: str | None = None
-    format: str = "json"
 
 
 def _family_brief(fam: core.VertexFamily) -> list[str]:
@@ -52,14 +44,15 @@ def _spectral_record(result: spectral.SpectralResult) -> dict:
     }
 
 
-def _emit(payload, config: RunConfig) -> None:
-    if config.format == "tsv":
+def _emit(payload, args) -> None:
+    if getattr(args, "format", "json") == "tsv":
         text = _to_tsv(payload)
     else:
         text = json.dumps(payload, sort_keys=True, indent=2,
                           allow_nan=False) + "\n"
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
+    output = getattr(args, "output", None)
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -93,7 +86,7 @@ def _to_tsv(payload) -> str:
 # Subcommand handlers.  Each returns (exit_code, payload).
 
 
-def _cmd_lambda1(args, config):
+def _cmd_lambda1(args):
     fam = core.read_family(args.family)
     result = spectral.lambda1(fam, tol=args.tol)
     record = _spectral_record(result)
@@ -102,7 +95,7 @@ def _cmd_lambda1(args, config):
     return EXIT_OK, record
 
 
-def _cmd_hamming(args, config):
+def _cmd_hamming(args):
     record: dict = {"d": args.d, "i": args.i}
     if args.constants:
         record["limit_constant"] = spectral.limit_constant(max(args.i, 1))
@@ -122,7 +115,7 @@ def _cmd_hamming(args, config):
     return EXIT_OK, record
 
 
-def _cmd_bounds(args, config):
+def _cmd_bounds(args):
     fam = core.read_family(args.family)
     record = {
         "n": len(fam),
@@ -146,7 +139,7 @@ def _cmd_bounds(args, config):
     return EXIT_OK, record
 
 
-def _cmd_compress(args, config):
+def _cmd_compress(args):
     if args.kind == "family":
         obj = core.read_family(getattr(args, "in"))
         result, log = comp.fully_compress(obj)
@@ -177,7 +170,7 @@ def _cmd_compress(args, config):
     return EXIT_OK, payload
 
 
-def _cmd_count_cubes(args, config):
+def _cmd_count_cubes(args):
     if args.family is None and args.initial is None:
         raise ValueError("count-cubes needs --family or --initial")
     if args.family:
@@ -197,7 +190,7 @@ def _cmd_count_cubes(args, config):
     return EXIT_OK, record
 
 
-def _cmd_search(args, config):
+def _cmd_search(args):
     result = search.max_lambda1(args.n, args.d, tol=args.tol, top_k=args.top,
                                 max_families=args.budget)
     record = {
@@ -244,7 +237,7 @@ def _oracle_max(n: int, d: int) -> float:
     return best
 
 
-def _cmd_partition(args, config):
+def _cmd_partition(args):
     fam = core.read_family(args.family)
     if args.preset:
         if args.preset == "sec51":
@@ -283,15 +276,15 @@ def _cmd_partition(args, config):
     return EXIT_OK, record
 
 
-def _cmd_regen_goldens(args, config):
+def _cmd_regen_goldens(args):
     from . import goldens
 
     written = goldens.regenerate(args.suite, args.outdir)
     return EXIT_OK, {"suite": args.suite, "files": written}
 
 
-def _cmd_selftest(args, config):
-    rng = random.Random(config.seed)
+def _cmd_selftest(args):
+    rng = random.Random(args.seed)
     checks = []
 
     vectors = 200
@@ -325,7 +318,7 @@ def _cmd_selftest(args, config):
 
     passed = all(c["passed"] for c in checks)
     return (EXIT_OK if passed else EXIT_PRECONDITION), {
-        "seed": config.seed, "passed": passed, "checks": checks}
+        "seed": args.seed, "passed": passed, "checks": checks}
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "tsv"],
                         default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for randomized suites (default 0)")
     common.add_argument("--output", default=argparse.SUPPRESS,
                         help="write the report here instead of stdout")
     parser = argparse.ArgumentParser(
@@ -405,7 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "partition-certs"])
     p.add_argument("--outdir", default="goldens")
 
-    sub("selftest", help="seeded invariant spot-checks")
+    p = sub("selftest", help="seeded invariant spot-checks")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the randomized checks")
     return parser
 
 
@@ -433,14 +426,9 @@ def run(argv=None) -> int:
     if args.command is None:
         sys.stderr.write(parser.format_usage())
         return EXIT_USAGE
-    config = RunConfig(
-        seed=getattr(args, "seed", 0),
-        output=getattr(args, "output", None),
-        format=getattr(args, "format", "json"),
-    )
     try:
-        code, payload = _HANDLERS[args.command](args, config)
-        _emit(payload, config)
+        code, payload = _HANDLERS[args.command](args)
+        _emit(payload, args)
     except (ValueError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECONDITION

@@ -16,8 +16,7 @@ be fixpoints of it, so it cannot join the fixpoint schedule.
 
 Termination is certified by an explicit potential: sum over vertices of
 (bitmask value) * (rank of the weight held there).  Every changing step
-strictly decreases it; the implementation asserts this per step whenever
-the potential is cheap to materialize (d <= POTENTIAL_CHECK_MAX_D).
+strictly decreases it, and the implementation asserts this per step.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ import math
 from dataclasses import dataclass
 
 from .core import VertexFamily, vertex_str
-
-POTENTIAL_CHECK_MAX_D = 12
 
 
 @dataclass(frozen=True)
@@ -275,11 +272,12 @@ def is_compressed(x) -> tuple[bool, CompressionStep | None]:
 
 
 def _vector_potential(vec: WeightVector) -> int:
-    """Potential over the materialized cube: sum of mask * weight-rank.
+    """Sum of mask * weight-rank over all 2^d slots, without visiting them.
 
-    Ranks are computed over all 2^d slots (absent vertices weigh 0), so
-    any conditional swap that moves a strictly larger weight to a smaller
-    mask strictly lowers the potential.
+    Absent vertices weigh 0: every slot is charged the rank of 0 in closed
+    form, and each support vertex adds its rank's excess over that.  Any
+    conditional swap that moves a strictly larger weight to a smaller mask
+    strictly lowers the potential.
     """
     full = 1 << vec.d
     values = sorted({0.0} | set(vec.weights.values()))
@@ -302,36 +300,33 @@ def fully_compress(x):
     schedule sweeps singleton down-steps in increasing coordinate, then
     swap steps in lexicographic order, repeating until a full sweep is
     silent.  A strictly decreasing integer potential certifies
-    termination; it is asserted per changing step while affordable.
+    termination; it is asserted per changing step.
     """
     if isinstance(x, VertexFamily):
         apply_uv = compress_family_uv
         same = lambda a, b: a.members == b.members
         potential = _family_potential
-        do_check = True
         target = "family"
     elif isinstance(x, WeightVector):
         apply_uv = compress_vector_uv
         same = lambda a, b: a.weights == b.weights
         potential = _vector_potential
-        do_check = x.d <= POTENTIAL_CHECK_MAX_D
         target = "vector"
     else:
         raise TypeError(f"expected VertexFamily or WeightVector, got {type(x)}")
 
     log: list[CompressionStep] = []
     current = x
-    pot = potential(current) if do_check else None
+    pot = potential(current)
     while True:
         changed = False
         for u, v in _uv_steps(current.d):
             nxt = apply_uv(current, u, v)
             if not same(nxt, current):
                 log.append(CompressionStep("uv", u=u, v=v, target=target))
-                if do_check:
-                    npot = potential(nxt)
-                    assert npot < pot, "compression potential failed to drop"
-                    pot = npot
+                npot = potential(nxt)
+                assert npot < pot, "compression potential failed to drop"
+                pot = npot
                 current = nxt
                 changed = True
         if not changed:

@@ -9,8 +9,11 @@ preserves down-closure and shift-stability), so the enumeration is an
 orderly DFS: grow the family one vertex at a time, in increasing binary
 order, keeping only extensions whose lower shadow and left-shifts are
 already present: the member-local test that `is_compressed` applies to
-every member.  Members of a compressed n-family use elements at most
-n-1 and have size at most log2 n, which bounds the candidate pool.
+every member.  Each member offers one extension, its first non-member
+above its largest element, and a new member changes only two offers, so
+the DFS runs on an explicit stack of offers, at any depth, and yields
+each family as its sorted members.  Members of a compressed n-family use
+elements at most n-1, which bounds the offers.
 
 A certified family is an interval [lo, hi] for its lambda1 (`lambda1`'s
 `SpectralResult.interval()`).  Families rank by lo; the maximizers are
@@ -64,42 +67,44 @@ SCREEN_ENTRIES = 1 << 16
 
 
 def enumerate_compressed(n: int, cap_dim: int):
-    """Yield every compressed family of size n with elements <= cap_dim,
-    each exactly once, in a canonical order."""
+    """Yield the sorted members of every compressed family of size n with
+    elements <= cap_dim, each family exactly once, in a canonical order.
+
+    A valid next member v is s + {e}, e > max(s), with s and every
+    s + {e'}, max(s) < e' < e, members (shadow and left shifts of v); so
+    each member s offers only its first non-member s + {e}.  When v
+    joins, p = v - {max v} offers p + {max v + 1} in its place and v
+    offers v + {max v + 1}; every other offer stays.  Each node of the
+    depth-first search keeps its untried offers above the last member,
+    largest first, on an explicit stack."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if cap_dim < 1 or n > 2**cap_dim:
         raise ValueError(
             f"cap_dim={cap_dim} too small for a compressed family of size {n}"
         )
-    top = 1 << min(cap_dim, max(n - 1, 1))
-    members: set[int] = {0}
-
-    def rec(last: int):
-        if len(members) == n:
-            yield VertexFamily(cap_dim, frozenset(members))
-            return
-        # A valid v is s + {e}, e > max(s), with s and every s + {e'},
-        # max(s) < e' < e, members (shadow and left shifts of v); so each
-        # member s offers only its first non-member s + {e}.
-        cands = set()
-        for s in members:
-            bit = 1 << s.bit_length()
-            while s | bit in members:
-                bit <<= 1
-            if bit < top and s | bit > last:
-                cands.add(s | bit)
-        for v in sorted(cands):
-            if _member_violation(v, members) is None:
-                members.add(v)
-                yield from rec(v)
-                members.remove(v)
-
-    try:
-        yield from rec(0)
-    except RecursionError:
-        raise ValueError(f"n={n} is too large: the enumeration recurses once "
-                         f"per member, past Python's recursion limit") from None
+    if n == 1:
+        yield (0,)
+        return
+    top = 1 << min(cap_dim, n - 1)
+    path, members, stack = [0], {0}, [[1]]
+    while stack:
+        offers = stack[-1]
+        if not offers:
+            stack.pop()
+            members.remove(path.pop())
+            continue
+        v = offers.pop()
+        if _member_violation(v, members) is not None:
+            continue
+        if len(path) == n - 1:
+            yield (*path, v)
+            continue
+        bit = 1 << v.bit_length()           # element max v + 1
+        path.append(v)
+        members.add(v)
+        new = [(v ^ bit >> 1) | bit, v | bit] if bit < top else []
+        stack.append(sorted(offers + new, reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +182,11 @@ def max_lambda1(n: int, d: int, tol: float = 1e-10, top_k: int = 3,
     cap_dim = min(d, max(n - 1, 1))
     families: list[tuple[int, ...]] = []
     complete = True
-    for fam in enumerate_compressed(n, cap_dim):
+    for ms in enumerate_compressed(n, cap_dim):
         if max_families is not None and len(families) >= max_families:
             complete = False
             break
-        families.append(fam.sorted_members())
+        families.append(ms)
     if not families:
         raise ValueError("search yielded no families")
     chunk = max(1, SCREEN_ENTRIES // (n * n))
@@ -263,10 +268,9 @@ class PartitionCertificate:
 
     cores[k] is the k-times-iterated heavy set (vertices that keep at
     least epsilon*d neighbours among survivors), caps[k] the element
-    ceiling of round k, index_pools[k] the witness indices defining it,
-    shells[k] the vertices swept in as neighbours of earlier blocks,
-    centers[k] the fresh ball centers, covered[k] everything placed so
-    far.  star_balls[(k, S)] collects S with its shell neighbours at
+    ceiling of round k, shells[k] the vertices swept in as neighbours of
+    earlier blocks, centers[k] the fresh ball centers, covered[k]
+    everything placed so far.  star_balls[(k, S)] collects S with its shell neighbours at
     each later round.  `degenerate` marks inputs where the core chain
     stabilizes without emptying, in which case a trivial single block is
     returned and the partition-degree guarantee is void.
@@ -277,7 +281,6 @@ class PartitionCertificate:
     depth: int
     degenerate: bool
     cores: tuple[frozenset[int], ...]
-    index_pools: tuple[frozenset[int], ...]
     caps: tuple[int, ...]
     shells: tuple[frozenset[int], ...]
     centers: tuple[frozenset[int], ...]
@@ -339,11 +342,8 @@ def build_partition(fam: VertexFamily, epsilon: float) -> PartitionCertificate:
     depth = len(cores) - 1
 
     deepest = cores[depth] if cores[depth] else members
-    pool0 = frozenset(
-        {t for t in range(1, d + 1) if (1 << (t - 1)) in deepest} | {1}
-    )
-    caps = [max(pool0)]
-    index_pools = [pool0]
+    caps = [max([t for t in range(1, d + 1) if (1 << (t - 1)) in deepest],
+                default=1)]
     shells = [frozenset()]
     centers = [_members_within(members, caps[0])]
     covered = [centers[0]]
@@ -353,12 +353,9 @@ def build_partition(fam: VertexFamily, epsilon: float) -> PartitionCertificate:
         for j in range(k):
             probe |= 1 << caps[j]        # element m_j + 1
         core = cores[depth - k]
-        pool = {caps[k - 1] + 1}
-        for t in range(caps[k - 1] + 2, d + 1):
-            if probe | (1 << (t - 1)) in core:
-                pool.add(t)
-        index_pools.append(frozenset(pool))
-        caps.append(max(pool))
+        caps.append(max([t for t in range(caps[k - 1] + 2, d + 1)
+                         if probe | (1 << (t - 1)) in core],
+                        default=caps[k - 1] + 1))
 
         shell, center = _round(members, d, k, shells, centers, caps, covered)
         shells.append(shell)
@@ -376,8 +373,8 @@ def build_partition(fam: VertexFamily, epsilon: float) -> PartitionCertificate:
             star_balls[(k, s)] = frozenset(ball)
 
     return PartitionCertificate(
-        d, epsilon, depth, degenerate, tuple(cores), tuple(index_pools),
-        tuple(caps), tuple(shells), tuple(centers), tuple(covered), star_balls,
+        d, epsilon, depth, degenerate, tuple(cores), tuple(caps),
+        tuple(shells), tuple(centers), tuple(covered), star_balls,
     )
 
 

@@ -79,9 +79,12 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
         vec = WeightVector(fam.d, {verts[0]: 1.0})
         return SpectralResult(0.0, 0.0, vec, 0, "dense-small")
 
+    # Sums run in numpy's own order, not a BLAS kernel's, so the bits of
+    # the result do not depend on which kernel the CPU selects.
     if n <= 64:
         mat = np.eye(n)
         mat[np.repeat(np.arange(n), np.diff(g.indptr)), g.indices] = 1.0
+        matvec = lambda v: np.add.reduce(mat * v, axis=1)
     else:
         from scipy.sparse import csr_matrix, identity
 
@@ -89,7 +92,7 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
         mat = csr_matrix((data, g.indices, g.indptr), shape=(n, n)) + identity(
             n, format="csr"
         )
-    matvec = mat.dot
+        matvec = mat.dot
 
     # The Collatz-Wielandt ratio bounds rho(A + I) for positive x.  On a
     # component far below the dominant one x underflows to 0.0: a vertex
@@ -104,7 +107,7 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             y = matvec(x)
-            rho = float(x.dot(y))      # Rayleigh quotient of A+I at unit x
+            rho = float(np.add.reduce(x * y))   # Rayleigh quotient of A+I
             ratios = y / x             # nan where x_u = y_u = 0
             upper = float(np.where(np.isnan(ratios), row_sums, ratios).max())
             # rounding can put the ratio below rho; the gap is never
@@ -112,7 +115,7 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
             error = max(min(upper, cap) - rho, float(np.spacing(rho)))
             if error <= tol or iterations == MAX_POWER_ITERATIONS:
                 break
-            x = y / np.linalg.norm(y)
+            x = y / sqrt(np.add.reduce(y * y))
             iterations += 1
 
     vec = WeightVector(fam.d, {v: float(w) for v, w in zip(verts, x)})

@@ -307,7 +307,8 @@ def test_criterion_10_partition_certificates():
     failures = 0
     checked = 0
     for n in range(1, 33):
-        for fam in enumerate_compressed(n, 5):
+        for ms in enumerate_compressed(n, 5):
+            fam = VertexFamily(5, frozenset(ms))
             cert = build_partition(fam, epsilon_preset_sqrt(5, n))
             rep = verify_partition(cert, fam)
             checked += 1

@@ -160,11 +160,14 @@ def test_search_rejects_negative_top(capsys):
     assert out == "" and "top_k" in err
 
 
-def test_search_too_deep_for_recursion_exits_2(capsys):
+def test_search_deep_family_exits_3_on_budget(capsys):
+    # 1,200 members deep: the enumeration reaches its first family and
+    # the budget ends the search there.
     code, out, err = run_cli(
         ["search", "--n", "1200", "--d", "20", "--budget", "1"], capsys)
-    assert code == cli.EXIT_PRECONDITION
-    assert out == "" and "n=1200" in err and err.count("\n") == 1
+    assert code == cli.EXIT_BUDGET and err == ""
+    record = json.loads(out)
+    assert record["search_space_size"] == 1 and record["complete"] is False
 
 
 def test_exit_codes(capsys, tmp_path):

@@ -229,7 +229,8 @@ def test_singleton_and_swap_fixpoints_imply_all_u_fixpoints():
     # enforced steps use singleton U only; check the full family of
     # down-compressions is then automatic, exhaustively inside Q_5
     for n in range(1, 33):
-        for fam in enumerate_compressed(n, 5):
+        for ms in enumerate_compressed(n, 5):
+            fam = VertexFamily(5, frozenset(ms))
             for size in range(2, 6):
                 for combo in itertools.combinations(range(1, 6), size):
                     u = vertex_of(combo)
@@ -242,8 +243,8 @@ def test_reduction_soundness_small():
         for n in range(1, 2**d + 1):
             best_all = max(brute_lambda1(c, d)
                            for c in itertools.combinations(range(2**d), n))
-            best_comp = max(brute_lambda1(f.members, d)
-                            for f in enumerate_compressed(n, d))
+            best_comp = max(brute_lambda1(ms, d)
+                            for ms in enumerate_compressed(n, d))
             assert abs(best_all - best_comp) < 1e-8, (d, n)
 
 

@@ -82,7 +82,8 @@ def test_presets():
 def test_exhaustive_q5_with_sqrt_preset():
     total = 0
     for n in range(1, 33):
-        for fam in enumerate_compressed(n, 5):
+        for ms in enumerate_compressed(n, 5):
+            fam = VertexFamily(5, frozenset(ms))
             eps = epsilon_preset_sqrt(5, n)
             cert = build_partition(fam, eps)
             report = verify_partition(cert, fam)

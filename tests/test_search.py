@@ -7,17 +7,55 @@ import pytest
 
 from conftest import brute_is_compressed, brute_lambda1
 from cubespectra import search
-from cubespectra.compress import is_compressed
+from cubespectra.compress import _member_violation, is_compressed
 from cubespectra.core import VertexFamily, degree_profile, vertex_of
 from cubespectra.search import enumerate_compressed, max_lambda1, verify_star_regime
 from cubespectra.spectral import SpectralResult, lambda1
 
 
+def recursive_enumeration(n, cap_dim):
+    """Reference order: the recursive DFS that scans every member for its
+    first non-member above its maximum at each node, then recurses on the
+    valid offers in increasing order."""
+    top = 1 << min(cap_dim, max(n - 1, 1))
+    members = {0}
+
+    def rec(last):
+        if len(members) == n:
+            yield tuple(sorted(members))
+            return
+        cands = set()
+        for s in members:
+            bit = 1 << s.bit_length()
+            while s | bit in members:
+                bit <<= 1
+            if bit < top and s | bit > last:
+                cands.add(s | bit)
+        for v in sorted(cands):
+            if _member_violation(v, members) is None:
+                members.add(v)
+                yield from rec(v)
+                members.remove(v)
+
+    yield from rec(0)
+
+
 def test_enumeration_base_cases():
-    assert [f.members for f in enumerate_compressed(1, 1)] == [frozenset([0])]
-    assert [f.members for f in enumerate_compressed(2, 3)] == [frozenset([0, 1])]
+    assert [frozenset(ms) for ms in enumerate_compressed(1, 1)] == [frozenset([0])]
+    assert [frozenset(ms) for ms in enumerate_compressed(2, 3)] == [frozenset([0, 1])]
     with pytest.raises(ValueError):
         list(enumerate_compressed(5, 2))   # 5 > 2^2
+
+
+def test_enumeration_order_matches_recursive_reference():
+    cases = 0
+    for n in range(1, 23):
+        for cap in sorted({1, 2, 3, 5, n - 1}):
+            if cap >= 1 and n <= 2**cap:
+                assert (list(enumerate_compressed(n, cap))
+                        == list(recursive_enumeration(n, cap))), (n, cap)
+                cases += 1
+    assert cases == 53
 
 
 def test_enumeration_matches_brute_filter():
@@ -28,14 +66,15 @@ def test_enumeration_matches_brute_filter():
             for combo in itertools.combinations(range(16), n)
             if brute_is_compressed(combo, 4)
         )
-        enum = sorted(f.members for f in enumerate_compressed(n, 4))
+        enum = sorted(frozenset(ms) for ms in enumerate_compressed(n, 4))
         assert enum == brute, n
 
 
 def test_enumeration_families_are_compressed_and_unique():
     for n in (6, 9, 12):
         seen = set()
-        for fam in enumerate_compressed(n, n - 1):
+        for ms in enumerate_compressed(n, n - 1):
+            fam = VertexFamily(n - 1, frozenset(ms))
             assert len(fam) == n
             assert is_compressed(fam)[0]
             assert fam.members not in seen
@@ -116,12 +155,14 @@ def certify_all(n, d, tol=1e-10, top_k=3, max_families=None):
     evaluated = []
     visited = 0
     complete = True
-    for fam in enumerate_compressed(n, min(d, max(n - 1, 1))):
+    cap_dim = min(d, max(n - 1, 1))
+    for ms in enumerate_compressed(n, cap_dim):
         if max_families is not None and visited >= max_families:
             complete = False
             break
         visited += 1
-        evaluated.append((lambda1(fam, tol).interval(), fam.sorted_members()))
+        fam = VertexFamily(cap_dim, frozenset(ms))
+        evaluated.append((lambda1(fam, tol).interval(), ms))
     evaluated.sort(key=lambda pair: (-pair[0][0], pair[1]))
     best = evaluated[0][0][0]
     maximizers = tuple(VertexFamily(d, frozenset(ms))
@@ -173,7 +214,8 @@ def test_families_with_equal_lambda1_tie():
     # intervals must overlap, or rounding would split a tie.
     groups = 0
     for n in range(2, 21):
-        rows = sorted(lambda1(f).interval() for f in enumerate_compressed(n, n - 1))
+        rows = sorted(lambda1(VertexFamily(n - 1, frozenset(ms))).interval()
+                      for ms in enumerate_compressed(n, n - 1))
         start = 0
         for i in range(1, len(rows) + 1):
             if i == len(rows) or rows[i][0] - rows[i - 1][0] >= 1e-12:
@@ -197,7 +239,7 @@ def test_one_maximizer_up_to_28():
 def test_maximizers_need_not_lead_the_lower_end_order(monkeypatch):
     # n = 7 has four compressed families; give the one ranked third by
     # lower end an interval wide enough to reach the best lower end.
-    fams = [f.sorted_members() for f in enumerate_compressed(7, 6)]
+    fams = list(enumerate_compressed(7, 6))
     intervals = dict(zip(fams, [(2.0, 2.01), (1.9, 1.91), (1.8, 2.05),
                                 (1.7, 1.71)]))
 
@@ -234,7 +276,8 @@ def test_screen_bounds_every_lower_end(monkeypatch, steps):
     if steps is not None:
         monkeypatch.setattr(search, "SCREEN_STEPS", steps)
     for n in range(1, 17):
-        fams = list(enumerate_compressed(n, max(n - 1, 1)))
+        fams = [VertexFamily(max(n - 1, 1), frozenset(ms))
+                for ms in enumerate_compressed(n, max(n - 1, 1))]
         bounds = search._screen([f.sorted_members() for f in fams])
         for fam, u in zip(fams, bounds):
             assert u >= lambda1(fam).interval()[0], (n, fam.sorted_members())

@@ -1,8 +1,13 @@
 """Eigenvalue solvers and every bound, checked against dense oracles."""
 
+import filecmp
 import math
+import os
 import random
+import subprocess
+import sys
 from math import isclose, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,3 +299,18 @@ def test_sandwich_small_grid():
             assert exact <= upper + 1e-9 <= level + 1e-9
             for k in range(1, i):
                 assert hamming_walk_lower_bound(d, i, k) <= exact + 1e-9
+
+
+@pytest.mark.parametrize("coretype", ["Prescott", "Haswell"])
+def test_search_table_has_the_same_bits_on_every_blas_kernel(coretype, tmp_path):
+    # OpenBLAS picks its kernels by CPU, and OPENBLAS_CORETYPE forces one;
+    # `lambda1` sums in numpy's order, so the regenerated table is the
+    # committed one whichever kernel runs.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype,
+               PYTHONPATH=str(root / "src"))
+    subprocess.run([sys.executable, "-m", "cubespectra", "regen-goldens",
+                    "--suite", "search-table", "--outdir", str(tmp_path)],
+                   env=env, check=True, capture_output=True, timeout=120)
+    assert filecmp.cmp(tmp_path / "search_table.tsv",
+                       root / "goldens" / "search_table.tsv", shallow=False)
