@@ -270,10 +270,11 @@ class PartitionCertificate:
     least epsilon*d neighbours among survivors), caps[k] the element
     ceiling of round k, shells[k] the vertices swept in as neighbours of
     earlier blocks, centers[k] the fresh ball centers, covered[k]
-    everything placed so far.  star_balls[(k, S)] collects S with its shell neighbours at
-    each later round.  `degenerate` marks inputs where the core chain
-    stabilizes without emptying, in which case a trivial single block is
-    returned and the partition-degree guarantee is void.
+    everything placed so far.  star_balls[(k, S)] collects S with its
+    shell neighbours at each later round.  `degenerate` marks inputs
+    where the core chain stabilizes without emptying, in which case a
+    trivial single block is returned and the partition-degree guarantee
+    is void.
     """
 
     d: int

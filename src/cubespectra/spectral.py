@@ -107,7 +107,7 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             y = matvec(x)
-            rho = float(np.add.reduce(x * y))   # Rayleigh quotient of A+I
+            rho = float(np.add.reduce(x * y))   # Rayleigh quotient, |x| = 1
             ratios = y / x             # nan where x_u = y_u = 0
             upper = float(np.where(np.isnan(ratios), row_sums, ratios).max())
             # rounding can put the ratio below rho; the gap is never
