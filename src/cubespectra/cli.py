@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub("lambda1", help="largest eigenvalue of a family file")
     p.add_argument("--family", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=spectral.DEFAULT_TOL)
 
     p = sub("hamming", help="Hamming-ball eigenvalues and bounds")
     p.add_argument("--d", type=int, required=True)
@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub("bounds", help="all bounds for a family file")
     p.add_argument("--family", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=spectral.DEFAULT_TOL)
 
     p = sub("compress", help="fully compress a family or vector")
     p.add_argument("--in", dest="in", required=True)
@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub("search", help="extremal search over compressed families")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=spectral.DEFAULT_TOL)
     p.add_argument("--top", type=int, default=3)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against full brute force (d <= 4)")

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import VertexFamily, vertex_str
+from .core import MAX_DIM, VertexFamily, vertex_str
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,8 @@ class WeightVector:
     weights: dict[int, float]
 
     def __post_init__(self):
-        if not 1 <= self.d <= 64:
-            raise ValueError(f"dimension must be in 1..64, got {self.d}")
+        if not 1 <= self.d <= MAX_DIM:
+            raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {self.d}")
         full = (1 << self.d) - 1
         clean = {}
         for v, w in self.weights.items():

@@ -59,10 +59,6 @@ def binary_compare(s: int, t: int) -> int:
     return -1 if s < t else 1
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 @dataclass(frozen=True)
 class VertexFamily:
     """A set of vertices inside Q_d: the vertex set of an induced subgraph.
@@ -100,7 +96,7 @@ class VertexFamily:
         return tuple(sorted(self.members))
 
     def max_set_size(self) -> int:
-        return max((popcount(v) for v in self.members), default=0)
+        return max((v.bit_count() for v in self.members), default=0)
 
     def __str__(self) -> str:
         inner = ", ".join(vertex_str(v) for v in self.sorted_members())

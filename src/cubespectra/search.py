@@ -49,9 +49,9 @@ from math import log, sqrt
 import numpy as np
 
 from .compress import _member_violation, is_compressed
-from .core import (VertexFamily, adjacency_lists, elements_of, popcount,
+from .core import (VertexFamily, adjacency_lists, elements_of, star_family,
                    vertex_of, vertex_str)
-from .spectral import SpectralResult, lambda1
+from .spectral import DEFAULT_TOL, SpectralResult, lambda1, star_value
 
 # Power steps before the screen's Collatz-Wielandt ratio: more steps leave
 # fewer families to `lambda1`, and no count, 0 included, alters a result.
@@ -156,7 +156,7 @@ def _split(ranked, top_k: int):
             [r for r in ranked if r[1] < best][:top_k])
 
 
-def max_lambda1(n: int, d: int, tol: float = 1e-10, top_k: int = 3,
+def max_lambda1(n: int, d: int, tol: float = DEFAULT_TOL, top_k: int = 3,
                 max_families: int | None = None) -> SearchResult:
     """Maximize lambda1 over compressed n-families inside Q_d.
 
@@ -222,13 +222,12 @@ def verify_star_regime(n_range, d: int) -> list[dict]:
         if n > d:
             raise ValueError(f"star regime needs n <= d, got n={n}, d={d}")
         res = max_lambda1(n, d)
-        star = sqrt(n - 1)
-        star_members = frozenset([0] + [1 << j for j in range(n - 1)])
+        star_members = star_family(d, n - 1).members
         star_is_max = any(f.members == star_members for f in res.maximizers)
         rows.append({
             "n": n,
             "best_lambda1": res.best_lambda1,
-            "star_value": star,
+            "star_value": star_value(n),
             "star_is_maximizer": star_is_max,
             "star_unique_maximizer": star_is_max and len(res.maximizers) == 1,
             "num_maximizers": len(res.maximizers),
@@ -369,7 +368,7 @@ def build_partition(fam: VertexFamily, epsilon: float) -> PartitionCertificate:
             ball = {s}
             for j in range(1, depth - k + 1):
                 for t in shells[k + j]:
-                    if popcount(s ^ t) == j:
+                    if (s ^ t).bit_count() == j:
                         ball.add(t)
             star_balls[(k, s)] = frozenset(ball)
 
@@ -431,6 +430,14 @@ def _unique_representation(s: int, k: int, cert: PartitionCertificate):
     return hits
 
 
+def _first(name: str, witnesses) -> CheckOutcome:
+    """The check `name` passes when `witnesses` yields nothing, and fails
+    with the first witness otherwise."""
+    for witness in witnesses:
+        return CheckOutcome(name, False, witness)
+    return CheckOutcome(name, True)
+
+
 def verify_partition(cert: PartitionCertificate, fam: VertexFamily) -> PartitionReport:
     """Re-check every finite assertion of the partition construction.
 
@@ -438,170 +445,116 @@ def verify_partition(cert: PartitionCertificate, fam: VertexFamily) -> Partition
     C_k + D_k are the defining partition of the vertex set, (3) block
     edges and star-ball edges cover E(G) exactly, (4) every block has
     maximum degree at most epsilon*d.  The seven construction assertions
-    are checked alongside.  Part 2 re-derives the shells and centers
-    from the certificate's own caps, so a vertex moved between blocks is
-    caught with a witness.
+    are checked alongside; the seventh is part 1.  Each check yields its
+    witnesses and fails with the first one.  Part 2 re-derives the shells
+    and centers from the certificate's own caps, so a vertex moved
+    between blocks is caught with a witness.
     """
     members = fam.members
     adj = adjacency_lists(fam)
     d, depth = cert.d, cert.depth
+    limit = cert.epsilon * d
+    degrees = [_induced_degree(block, adj) for block in cert.blocks()]
 
-    # part 1 / assertion 7: star balls pairwise disjoint
-    part1 = CheckOutcome("star_balls_disjoint", True)
-    seen: dict[int, tuple[int, int]] = {}
-    for key, ball in sorted(cert.star_balls.items()):
-        for v in ball:
-            if v in seen and seen[v] != key:
-                part1 = CheckOutcome(
-                    "star_balls_disjoint", False,
-                    f"{vertex_str(v)} lies in balls {seen[v]} and {key}")
-                break
-            seen[v] = key
-        if not part1.passed:
-            break
+    def ball_overlaps():
+        seen: dict[int, tuple[int, int]] = {}
+        for key, ball in sorted(cert.star_balls.items()):
+            for v in ball:
+                if v in seen:
+                    yield f"{vertex_str(v)} lies in balls {seen[v]} and {key}"
+                seen[v] = key
 
-    # part 2: the blocks tile V(G) and match their defining equations
-    part2 = CheckOutcome("blocks_partition_vertices", True)
-    placed: dict[int, int] = {}
-    for k, block in enumerate(cert.blocks()):
-        for v in sorted(block):
-            if v in placed:
-                part2 = CheckOutcome(
-                    "blocks_partition_vertices", False,
-                    f"{vertex_str(v)} lies in blocks {placed[v]} and {k}")
-            placed[v] = k
-    if part2.passed and set(placed) != set(members):
-        missing = sorted(set(members) - set(placed) | set(placed) - set(members))
-        part2 = CheckOutcome("blocks_partition_vertices", False,
-                             f"block union mismatch at {vertex_str(missing[0])}")
-    if part2.passed:
+    def block_mismatches():
+        placed: dict[int, int] = {}
+        for k, block in enumerate(cert.blocks()):
+            for v in sorted(block):
+                if v in placed:
+                    yield f"{vertex_str(v)} lies in blocks {placed[v]} and {k}"
+                placed[v] = k
+        if stray := members ^ set(placed):
+            yield f"block union mismatch at {vertex_str(min(stray))}"
         if cert.shells[0]:
-            part2 = CheckOutcome("blocks_partition_vertices", False,
-                                 "round 0 has a nonempty shell")
+            yield "round 0 has a nonempty shell"
         elif cert.centers[0] != _members_within(members, cert.caps[0]):
-            part2 = CheckOutcome("blocks_partition_vertices", False,
-                                 "round 0 centers are not the low-element vertices")
-    if part2.passed:
+            yield "round 0 centers are not the low-element vertices"
         for k in range(1, depth + 1):
             shell, center = _round(members, d, k, cert.shells, cert.centers,
                                    cert.caps, cert.covered)
             if shell != cert.shells[k]:
-                bad = sorted(shell ^ cert.shells[k])[0]
-                part2 = CheckOutcome(
-                    "blocks_partition_vertices", False,
-                    f"round {k} shell mismatch at {vertex_str(bad)}")
-                break
+                bad = min(shell ^ cert.shells[k])
+                yield f"round {k} shell mismatch at {vertex_str(bad)}"
             if center != cert.centers[k]:
-                bad = sorted(center ^ cert.centers[k])[0]
-                part2 = CheckOutcome(
-                    "blocks_partition_vertices", False,
-                    f"round {k} centers mismatch at {vertex_str(bad)}")
-                break
+                bad = min(center ^ cert.centers[k])
+                yield f"round {k} centers mismatch at {vertex_str(bad)}"
 
-    # part 3: exact edge cover
-    all_edges = _block_edges(members, adj)
-    covered_edges = set()
-    for block in cert.blocks():
-        covered_edges |= _block_edges(block, adj)
-    for ball in cert.star_balls.values():
-        covered_edges |= _block_edges(ball, adj)
-    part3 = CheckOutcome("edges_covered_exactly", covered_edges == all_edges)
-    if not part3.passed:
-        diff = sorted(all_edges ^ covered_edges)[0]
-        part3 = CheckOutcome(
-            "edges_covered_exactly", False,
-            f"edge {vertex_str(diff[0])}-{vertex_str(diff[1])} mismatch")
+    def edge_mismatches():
+        covered = set()
+        for part in (*cert.blocks(), *cert.star_balls.values()):
+            covered |= _block_edges(part, adj)
+        if stray := _block_edges(members, adj) ^ covered:
+            s, u = min(stray)
+            yield f"edge {vertex_str(s)}-{vertex_str(u)} mismatch"
 
-    # part 4: small degree inside every block
-    block_degrees = [_induced_degree(block, adj) for block in cert.blocks()]
-    part4 = CheckOutcome("block_degree_bounded", True)
-    for k, deg in enumerate(block_degrees):
-        if deg > cert.epsilon * d:
-            part4 = CheckOutcome(
-                "block_degree_bounded", False,
-                f"block {k} has internal degree {deg} > {cert.epsilon * d:.3f}")
-            break
+    def heavy_blocks():
+        for k, deg in enumerate(degrees):
+            if deg > limit:
+                yield f"block {k} has internal degree {deg} > {limit:.3f}"
 
-    assertions = []
+    def ambiguous_vertices():
+        for k in range(depth + 1):
+            for s in sorted(cert.shells[k] | cert.centers[k]):
+                hits = _unique_representation(s, k, cert)
+                if len(hits) != 1:
+                    yield (f"{vertex_str(s)} in round {k} has {len(hits)} "
+                           "decompositions")
 
-    out = CheckOutcome("unique_representation", True)
-    for k in range(depth + 1):
-        for s in sorted(cert.shells[k] | cert.centers[k]):
-            hits = _unique_representation(s, k, cert)
-            if len(hits) != 1:
-                out = CheckOutcome(
-                    "unique_representation", False,
-                    f"{vertex_str(s)} in round {k} has {len(hits)} decompositions")
-                break
-        if not out.passed:
-            break
-    assertions.append(out)
+    def uncompressed_covers():
+        for k in range(depth + 1):
+            ok, violation = is_compressed(VertexFamily(d, cert.covered[k]))
+            if not ok:
+                yield f"covered[{k}] violates {violation.describe()}"
 
-    out = CheckOutcome("covered_sets_compressed", True)
-    for k in range(depth + 1):
-        ok, violation = is_compressed(VertexFamily(d, cert.covered[k]))
-        if not ok:
-            out = CheckOutcome(
-                "covered_sets_compressed", False,
-                f"covered[{k}] violates {violation.describe()}")
-            break
-    assertions.append(out)
+    def edges_to_later_rounds():
+        for k in range(depth + 1):
+            later = set(cert.centers[k + 1]) if k < depth else set()
+            if k + 2 <= depth:
+                later |= cert.shells[k + 2] | cert.centers[k + 2]
+            for s in cert.covered[k]:
+                for u in adj[s]:
+                    if u in later:
+                        yield (f"edge {vertex_str(s)}-{vertex_str(u)} "
+                               f"leaves covered[{k}]")
 
-    out = CheckOutcome("no_edges_to_later_rounds", True)
-    for k in range(depth + 1):
-        later = set()
-        if k + 1 <= depth:
-            later |= cert.centers[k + 1]
-        if k + 2 <= depth:
-            later |= cert.shells[k + 2] | cert.centers[k + 2]
-        for s in cert.covered[k]:
-            for u in adj[s]:
-                if u in later:
-                    out = CheckOutcome(
-                        "no_edges_to_later_rounds", False,
-                        f"edge {vertex_str(s)}-{vertex_str(u)} leaves covered[{k}]")
-                    break
-            if not out.passed:
-                break
-        if not out.passed:
-            break
-    assertions.append(out)
+    def blocks_in_earlier_rounds():
+        for k in range(1, depth + 1):
+            if overlap := (cert.shells[k] | cert.centers[k]) & cert.covered[k - 1]:
+                yield (f"{vertex_str(min(overlap))} in round {k} "
+                       f"and covered[{k-1}]")
 
-    out = CheckOutcome("blocks_avoid_earlier_rounds", True)
-    for k in range(1, depth + 1):
-        overlap = (cert.shells[k] | cert.centers[k]) & cert.covered[k - 1]
-        if overlap:
-            out = CheckOutcome(
-                "blocks_avoid_earlier_rounds", False,
-                f"{vertex_str(sorted(overlap)[0])} in round {k} and covered[{k-1}]")
-            break
-    assertions.append(out)
+    def loose_caps():
+        for k, deg in enumerate(degrees):
+            if not deg <= cert.caps[k] <= limit:
+                yield (f"round {k}: degree {deg}, cap {cert.caps[k]}, "
+                       f"threshold {limit:.3f}")
 
-    out = CheckOutcome("caps_bound_degree", True)
-    for k, deg in enumerate(block_degrees):
-        if not (deg <= cert.caps[k] and cert.caps[k] <= cert.epsilon * d):
-            out = CheckOutcome(
-                "caps_bound_degree", False,
-                f"round {k}: degree {deg}, cap {cert.caps[k]}, "
-                f"threshold {cert.epsilon * d:.3f}")
-            break
-    assertions.append(out)
+    def uncovered_cores():
+        for k in range(depth + 1):
+            if stray := cert.cores[depth - k] - cert.covered[k]:
+                yield (f"core {depth - k} vertex {vertex_str(min(stray))} "
+                       f"not covered by round {k}")
+        if cert.covered[depth] != members:
+            yield "final covered set is not all of V(G)"
 
-    out = CheckOutcome("cores_covered", True)
-    for k in range(depth + 1):
-        stray = cert.cores[depth - k] - cert.covered[k]
-        if stray:
-            out = CheckOutcome(
-                "cores_covered", False,
-                f"core {depth - k} vertex {vertex_str(sorted(stray)[0])} "
-                f"not covered by round {k}")
-            break
-    if out.passed and cert.covered[depth] != members:
-        out = CheckOutcome("cores_covered", False,
-                           "final covered set is not all of V(G)")
-    assertions.append(out)
-
-    assertions.append(CheckOutcome("star_balls_disjoint", part1.passed,
-                                   part1.witness))
-
-    return PartitionReport((part1, part2, part3, part4), tuple(assertions))
+    part1 = _first("star_balls_disjoint", ball_overlaps())
+    parts = (part1,
+             _first("blocks_partition_vertices", block_mismatches()),
+             _first("edges_covered_exactly", edge_mismatches()),
+             _first("block_degree_bounded", heavy_blocks()))
+    assertions = (_first("unique_representation", ambiguous_vertices()),
+                  _first("covered_sets_compressed", uncompressed_covers()),
+                  _first("no_edges_to_later_rounds", edges_to_later_rounds()),
+                  _first("blocks_avoid_earlier_rounds", blocks_in_earlier_rounds()),
+                  _first("caps_bound_degree", loose_caps()),
+                  _first("cores_covered", uncovered_cores()),
+                  part1)
+    return PartitionReport(parts, assertions)

@@ -130,6 +130,58 @@ def test_corrupted_certificate_fails_partition_check():
     assert tuple(c.passed for c in report.parts)[1] is False
 
 
+def test_duplicate_vertex_witness_is_the_first():
+    fam = hamming_ball(8, 1)
+    cert = build_partition(fam, 0.5)
+    c0 = cert.centers[0]
+    report = verify_partition(replace(cert, centers=(c0, c0)), fam)
+    part2 = report.parts[1]
+    assert part2.name == "blocks_partition_vertices" and not part2.passed
+    assert part2.witness == "{} lies in blocks 0 and 1"
+
+
+def _ball_8_1_corruptions():
+    """Per check, a corruption of ball(8,1)'s certificate at epsilon 0.5:
+    caps (1, 2), round 0's centers {} and {1}, round 1's shell the other
+    singletons and no centers, cores the ball and {{}}."""
+    s2 = vertex_of([2])
+    return {
+        "star_balls_disjoint": lambda c: replace(c, star_balls={
+            **c.star_balls, (0, 1): c.star_balls[(0, 1)] | {s2}}),
+        "blocks_partition_vertices": lambda c: replace(
+            c, centers=(c.centers[0], c.centers[0])),
+        "edges_covered_exactly": lambda c: replace(c, star_balls={}),
+        "block_degree_bounded": lambda c: replace(
+            c, shells=(frozenset(), frozenset()),
+            centers=(c.centers[0] | c.shells[1], frozenset())),
+        "unique_representation": lambda c: replace(
+            c, centers=(c.centers[0], c.shells[1])),
+        "covered_sets_compressed": lambda c: replace(
+            c, covered=(c.covered[0] | {vertex_of([3])}, c.covered[1])),
+        "no_edges_to_later_rounds": lambda c: replace(
+            c, centers=(c.centers[0], frozenset([s2]))),
+        "blocks_avoid_earlier_rounds": lambda c: replace(
+            c, shells=(frozenset(), c.shells[1] | {0})),
+        "caps_bound_degree": lambda c: replace(c, caps=(c.caps[0], 5)),
+        "cores_covered": lambda c: replace(
+            c, cores=(c.cores[0], c.cores[1] | {s2})),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_ball_8_1_corruptions()))
+def test_each_check_fails_on_its_corrupted_certificate(name):
+    fam = hamming_ball(8, 1)
+    cert = build_partition(fam, 0.5)
+    assert verify_partition(cert, fam).all_passed
+    report = verify_partition(_ball_8_1_corruptions()[name](cert), fam)
+    outcomes = [c for c in report.parts + report.assertions if c.name == name]
+    assert outcomes
+    for check in outcomes:
+        assert not check.passed
+        assert check.witness != ""
+    assert not report.all_passed
+
+
 def test_star_ball_edges_cover_cross_edges():
     # a two-round family: the 5-cube ball of radius 1 inside Q_5 plus
     # some pairs; check the edge cover splits exactly
