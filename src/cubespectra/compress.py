@@ -14,6 +14,18 @@ steps until nothing moves.  The per-coordinate binary rearrangement is
 a separate operation: compressed objects (Hamming balls, say) need not
 be fixpoints of it, so it cannot join the fixpoint schedule.
 
+A family is decided member by member, in O(|S|) lookups each: member S
+*passes* when every shadow S - {e} and every adjacent shift
+S - {e} + {e-1}, e-1 not in S, is a member.  Every member of F passes
+exactly when F is compressed.  Down-closure is the shadows.  For a swap
+S - {hi} + {lo}, lo < hi, hi in S, lo not in S, induct on hi - lo, an
+adjacent shift at 1: if hi-1 is not in S, shift hi to hi-1, then hi-1
+to lo; if hi-1 is in S, shift hi-1 to lo, then hi to hi-1.  Each move
+is a shorter swap of a member, and the two give S - {hi} + {lo} (the
+shifting argument of Frankl, 1987).  A member that passes still passes
+in a larger family, so a compressed F plus a vertex whose shadows and
+adjacent shifts lie in F is compressed: the search grows families so.
+
 Termination is certified by an explicit potential: sum over vertices of
 (bitmask value) * (rank of the weight held there).  Every changing step
 strictly decreases it, and the implementation asserts this per step.
@@ -87,24 +99,24 @@ class CompressionStep:
         return record
 
 
-def _swap_pairs(support, uv_union: int, v_mask: int, u_mask: int):
-    """Yield (max_side, min_side) partner pairs touching the support.
-
-    max_side vertices contain V and avoid U; their partners (xor by U|V)
-    contain U and avoid V.
-    """
-    seen = set()
-    for s in support:
-        if s & v_mask == v_mask and s & u_mask == 0:
-            hi, lo = s, s ^ uv_union
-        elif s & u_mask == u_mask and s & v_mask == 0:
-            hi, lo = s ^ uv_union, s
-        else:
-            continue
-        if hi in seen:
-            continue
-        seen.add(hi)
-        yield hi, lo
+def _swap_weights(weights: dict[int, float], u: int, v: int) -> bool:
+    """Apply the (U,V)-step to `weights` in place, dropping exact zeros;
+    True when a weight moved.  Pairs are visited by their first vertex
+    in `weights`' order, which fixes the order of the keys it adds."""
+    union = u | v
+    moved = False
+    for hi in dict.fromkeys(s ^ union if s & union == u else s
+                            for s in weights if s & union in (u, v)):
+        lo = hi ^ union             # hi contains V and avoids U
+        w_hi, w_lo = weights.get(hi, 0.0), weights.get(lo, 0.0)
+        if w_lo > w_hi:
+            for s, w in ((hi, w_lo), (lo, w_hi)):
+                if w:
+                    weights[s] = w
+                else:
+                    del weights[s]
+            moved = True
+    return moved
 
 
 def compress_vector_uv(vec: WeightVector, u: int, v: int) -> WeightVector:
@@ -115,33 +127,32 @@ def compress_vector_uv(vec: WeightVector, u: int, v: int) -> WeightVector:
     """
     if u & v:
         raise ValueError("U and V must be disjoint")
-    union = u | v
-    if union == 0:
+    if u | v == 0:
         return vec
-    new = dict(vec.weights)
-    for hi, lo in _swap_pairs(vec.weights, union, v, u):
-        w_hi = new.get(hi, 0.0)
-        w_lo = new.get(lo, 0.0)
-        if w_lo > w_hi:
-            new[hi] = w_lo
-            new[lo] = w_hi
-    return WeightVector(vec.d, new)
+    weights = dict(vec.weights)
+    _swap_weights(weights, u, v)
+    return WeightVector(vec.d, weights)
+
+
+def _movers(members: set[int], u: int, v: int) -> list[int]:
+    """Apply the (U,V)-step to `members` in place and return the movers:
+    the members that contained U, avoided V and lacked their partner
+    S xor (U|V)."""
+    union = u | v
+    movers = [s for s in members if s & union == u and s ^ union not in members]
+    members.difference_update(movers)
+    members.update(s ^ union for s in movers)
+    return movers
 
 
 def compress_family_uv(fam: VertexFamily, u: int, v: int) -> VertexFamily:
     """The same map on the indicator vector, read back as a set."""
     if u & v:
         raise ValueError("U and V must be disjoint")
-    union = u | v
-    if union == 0:
+    if u | v == 0:
         return fam
     members = set(fam.members)
-    for s in fam.members:
-        if s & u == u and s & v == 0:
-            partner = s ^ union
-            if partner not in members:
-                members.discard(s)
-                members.add(partner)
+    _movers(members, u, v)
     return VertexFamily(fam.d, frozenset(members))
 
 
@@ -224,28 +235,24 @@ def _uv_steps(d: int):
             yield 1 << (hi - 1), 1 << (lo - 1)
 
 
-def _member_violation(s: int, members) -> tuple[int, int] | None:
-    """The first step (U, V) in `is_compressed`'s order that moves member
-    s out of `members`, or None.  A family fails a step exactly when one
-    of its members does, so this test decides compression for a whole
-    family and for a new binary-maximal member alike."""
-    lo = 1
-    while lo < s:
-        if not s & lo:
-            above = s & -lo             # elements of s above lo
-            while above:
-                hi = above & -above
-                if (s ^ hi) | lo not in members:
-                    return hi, lo
-                above ^= hi
-        lo <<= 1
+def _member_fails(s: int, members) -> bool:
+    """True when a shadow s - {e} or an adjacent shift s - {e} + {e-1},
+    e-1 not in s, of s is absent from `members` (see the module
+    docstring: no member of a family fails exactly when it is
+    compressed)."""
     m = s
     while m:
-        bit = m & -m
-        if s ^ bit not in members:
-            return bit, 0
-        m ^= bit
-    return None
+        low = m & -m
+        if s ^ low not in members:
+            return True
+        m ^= low
+    m = s & ~(s << 1) & ~1              # elements e of s, e-1 not in s, e > 1
+    while m:
+        low = m & -m
+        if s ^ low ^ low >> 1 not in members:
+            return True
+        m ^= low
+    return False
 
 
 def is_compressed(x) -> tuple[bool, CompressionStep | None]:
@@ -255,42 +262,48 @@ def is_compressed(x) -> tuple[bool, CompressionStep | None]:
     a shift violation like {{2}} reports C_{2,1}.
     """
     if isinstance(x, VertexFamily):
-        found = [uv for s in x.members
-                 if (uv := _member_violation(s, x.members)) is not None]
-        if not found:
+        if not any(_member_fails(s, x.members) for s in x.members):
             return True, None
-        # the sorted `_uv_steps` order below: swaps by (lo, hi), then downs
-        u, v = min(found, key=lambda uv: (uv[1] == 0, uv[1], uv[0]))
-        return False, CompressionStep("uv", u=u, v=v, target="family")
-    if not isinstance(x, WeightVector):
+        state, step, target = set(x.members), _movers, "family"
+    elif isinstance(x, WeightVector):
+        state, step, target = x.weights, _swap_weights, "vector"
+    else:
         raise TypeError(f"expected VertexFamily or WeightVector, got {type(x)}")
-    steps = sorted(_uv_steps(x.d), key=lambda uv: uv[1] == 0)
-    for u, v in steps:
-        if compress_vector_uv(x, u, v).weights != x.weights:
-            return False, CompressionStep("uv", u=u, v=v, target="vector")
+    for u, v in sorted(_uv_steps(x.d), key=lambda uv: uv[1] == 0):
+        if step(state.copy(), u, v):
+            return False, CompressionStep("uv", u=u, v=v, target=target)
     return True, None
 
 
-def _vector_potential(vec: WeightVector) -> int:
-    """Sum of mask * weight-rank over all 2^d slots, without visiting them.
+def _vector_potential(weights: dict[int, float]) -> int:
+    """Sum of mask * weight-rank over all 2^d slots, less its constant
+    part, without visiting the slots.
 
-    Absent vertices weigh 0: every slot is charged the rank of 0 in closed
-    form, and each support vertex adds its rank's excess over that.  Any
-    conditional swap that moves a strictly larger weight to a smaller mask
-    strictly lowers the potential.
+    Absent vertices weigh 0, and every slot's charge of the rank of 0 is
+    the same for every arrangement of the same weights, so only each
+    support vertex's excess over that rank is summed.  Any conditional
+    swap that moves a strictly larger weight to a smaller mask strictly
+    lowers the potential.
     """
-    full = 1 << vec.d
-    values = sorted({0.0} | set(vec.weights.values()))
+    values = sorted({0.0} | set(weights.values()))
     rank = {w: r for r, w in enumerate(values)}
     zero_rank = rank[0.0]
-    total = zero_rank * (full * (full - 1) // 2)
-    for s, w in vec.weights.items():
-        total += s * (rank[w] - zero_rank)
-    return total
+    return sum(s * (rank[w] - zero_rank) for s, w in weights.items())
 
 
-def _family_potential(fam: VertexFamily) -> int:
-    return sum(fam.members)
+def _sweep(state, d: int, step, potential, target: str, log) -> bool:
+    """Apply every step of `_uv_steps(d)` to `state` in place with
+    `step`, logging each that changes it and asserting that
+    `potential(state)` drops; True when anything moved."""
+    pot = potential(state)
+    moved = False
+    for u, v in _uv_steps(d):
+        if step(state, u, v):
+            log.append(CompressionStep("uv", u=u, v=v, target=target))
+            npot = potential(state)
+            assert npot < pot, "compression potential failed to drop"
+            pot, moved = npot, True
+    return moved
 
 
 def fully_compress(x):
@@ -298,39 +311,23 @@ def fully_compress(x):
 
     Returns (compressed object, list of steps that changed it).  The
     schedule sweeps singleton down-steps in increasing coordinate, then
-    swap steps in lexicographic order, repeating until a full sweep is
+    swap steps in lexicographic order.  A family is swept while one of
+    its members fails the member test; a vector until a full sweep is
     silent.  A strictly decreasing integer potential certifies
     termination; it is asserted per changing step.
     """
-    if isinstance(x, VertexFamily):
-        apply_uv = compress_family_uv
-        same = lambda a, b: a.members == b.members
-        potential = _family_potential
-        target = "family"
-    elif isinstance(x, WeightVector):
-        apply_uv = compress_vector_uv
-        same = lambda a, b: a.weights == b.weights
-        potential = _vector_potential
-        target = "vector"
-    else:
-        raise TypeError(f"expected VertexFamily or WeightVector, got {type(x)}")
-
     log: list[CompressionStep] = []
-    current = x
-    pot = potential(current)
-    while True:
-        changed = False
-        for u, v in _uv_steps(current.d):
-            nxt = apply_uv(current, u, v)
-            if not same(nxt, current):
-                log.append(CompressionStep("uv", u=u, v=v, target=target))
-                npot = potential(nxt)
-                assert npot < pot, "compression potential failed to drop"
-                pot = npot
-                current = nxt
-                changed = True
-        if not changed:
-            return current, log
+    if isinstance(x, VertexFamily):
+        members = set(x.members)
+        while any(_member_fails(s, members) for s in members):
+            _sweep(members, x.d, _movers, sum, "family", log)
+        return VertexFamily(x.d, frozenset(members)), log
+    if not isinstance(x, WeightVector):
+        raise TypeError(f"expected VertexFamily or WeightVector, got {type(x)}")
+    weights = dict(x.weights)
+    while _sweep(weights, x.d, _swap_weights, _vector_potential, "vector", log):
+        pass
+    return WeightVector(x.d, weights), log
 
 
 # ---------------------------------------------------------------------------

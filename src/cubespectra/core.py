@@ -33,13 +33,10 @@ def vertex_of(elements) -> int:
 def elements_of(mask: int) -> tuple[int, ...]:
     """Decode a bitmask into its sorted 1-based coordinate indices."""
     out = []
-    j = 1
-    m = mask
-    while m:
-        if m & 1:
-            out.append(j)
-        m >>= 1
-        j += 1
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 

@@ -7,9 +7,10 @@ search enumerates exactly those.  A compressed family listed in binary
 order has every prefix compressed (removing the binary-maximal member
 preserves down-closure and shift-stability), so the enumeration is an
 orderly DFS: grow the family one vertex at a time, in increasing binary
-order, keeping only extensions whose lower shadow and left-shifts are
-already present: the member-local test that `is_compressed` applies to
-every member.  Each member offers one extension, its first non-member
+order, keeping only extensions whose lower shadow and adjacent shifts
+are already present: the member-local test that `is_compressed` applies
+to every member, which suffices because a compressed family plus a
+vertex that passes it is compressed (`compress`'s module docstring).  Each member offers one extension, its first non-member
 above its largest element, and a new member changes only two offers, so
 the DFS runs on an explicit stack of offers, at any depth, and yields
 each family as its sorted members.  Members of a compressed n-family use
@@ -48,7 +49,7 @@ from math import log, sqrt
 
 import numpy as np
 
-from .compress import _member_violation, is_compressed
+from .compress import _member_fails, is_compressed
 from .core import (VertexFamily, adjacency_lists, elements_of, star_family,
                    vertex_of, vertex_str)
 from .spectral import DEFAULT_TOL, SpectralResult, lambda1, star_value
@@ -95,7 +96,7 @@ def enumerate_compressed(n: int, cap_dim: int):
             members.remove(path.pop())
             continue
         v = offers.pop()
-        if _member_violation(v, members) is not None:
+        if _member_fails(v, members):
             continue
         if len(path) == n - 1:
             yield (*path, v)
@@ -459,7 +460,7 @@ def verify_partition(cert: PartitionCertificate, fam: VertexFamily) -> Partition
     def ball_overlaps():
         seen: dict[int, tuple[int, int]] = {}
         for key, ball in sorted(cert.star_balls.items()):
-            for v in ball:
+            for v in sorted(ball):
                 if v in seen:
                     yield f"{vertex_str(v)} lies in balls {seen[v]} and {key}"
                 seen[v] = key
@@ -519,7 +520,7 @@ def verify_partition(cert: PartitionCertificate, fam: VertexFamily) -> Partition
             later = set(cert.centers[k + 1]) if k < depth else set()
             if k + 2 <= depth:
                 later |= cert.shells[k + 2] | cert.centers[k + 2]
-            for s in cert.covered[k]:
+            for s in sorted(cert.covered[k]):
                 for u in adj[s]:
                     if u in later:
                         yield (f"edge {vertex_str(s)}-{vertex_str(u)} "

@@ -5,6 +5,7 @@ import random
 from math import isclose, sqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import brute_is_compressed, brute_lambda1
 from cubespectra.compress import (
@@ -223,6 +224,84 @@ def test_is_compressed_matches_step_application():
         assert ok or (step.kind, step.target) == ("uv", "family")
         compressed += ok
     assert 0 < compressed < len(families)
+
+
+def test_is_compressed_on_every_family_of_q4():
+    # the member test (shadows and adjacent shifts) against the definition
+    for code in range(1 << 16):
+        members = frozenset(m for m in range(16) if code >> m & 1)
+        assert is_compressed(VertexFamily(4, members))[0] == \
+            brute_is_compressed(members, 4), sorted(members)
+
+
+@st.composite
+def families_q5_to_q8(draw):
+    """Raw, fully compressed, or compressed with one vertex toggled."""
+    d = draw(st.integers(5, 8))
+    vertex = st.integers(0, 2**d - 1)
+    fam = VertexFamily(d, draw(st.frozensets(vertex, min_size=1, max_size=80)))
+    kind = draw(st.sampled_from(("raw", "compressed", "toggled")))
+    if kind != "raw":
+        fam, _ = fully_compress(fam)
+    if kind == "toggled":
+        fam = VertexFamily(d, fam.members ^ {draw(vertex)})
+    return fam
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(families_q5_to_q8())
+def test_is_compressed_property_q5_to_q8(fam):
+    ok, step = is_compressed(fam)
+    assert ok == brute_is_compressed(fam.members, fam.d)
+    assert (ok, step and (step.u, step.v)) == _first_moving_step(fam)
+
+
+def _sweep_until_silent(x):
+    """Reference route: apply `compress_*_uv` over the whole schedule,
+    down-steps by coordinate then swap steps by (lo, hi), sweep after
+    sweep, until a sweep changes nothing."""
+    family = isinstance(x, VertexFamily)
+    apply_uv = compress_family_uv if family else compress_vector_uv
+    d = x.d
+    schedule = [(1 << (i - 1), 0) for i in range(1, d + 1)]
+    schedule += [(1 << (hi - 1), 1 << (lo - 1))
+                 for lo in range(1, d + 1) for hi in range(lo + 1, d + 1)]
+    log = []
+    while True:
+        changed = False
+        for u, v in schedule:
+            nxt = apply_uv(x, u, v)
+            if (nxt.members != x.members if family
+                    else nxt.weights != x.weights):
+                log.append((u, v))
+                x, changed = nxt, True
+        if not changed:
+            return x, log
+
+
+def _assert_fully_compress_matches_sweeps(x):
+    out, log = fully_compress(x)
+    ref, ref_log = _sweep_until_silent(x)
+    if isinstance(x, VertexFamily):
+        assert out.members == ref.members
+    else:   # the key order too: sums over the weights follow it
+        assert list(out.weights.items()) == list(ref.weights.items())
+    assert [(step.u, step.v) for step in log] == ref_log
+
+
+def test_fully_compress_matches_sweeps_until_silent():
+    rng = random.Random(29)
+    for _ in range(150):
+        d = rng.randint(4, 8)
+        members = rng.sample(range(2**d), rng.randint(1, 2**d))
+        _assert_fully_compress_matches_sweeps(VertexFamily(d, frozenset(members)))
+    _assert_fully_compress_matches_sweeps(
+        VertexFamily(16, frozenset(rng.sample(range(1 << 16), 2500))))
+    for _ in range(60):
+        d = rng.randint(5, 10)
+        support = rng.sample(range(2**d), rng.randint(1, 2**d))
+        _assert_fully_compress_matches_sweeps(
+            WeightVector(d, {v: rng.gauss(0, 1) for v in support}))
 
 
 def test_singleton_and_swap_fixpoints_imply_all_u_fixpoints():

@@ -1,6 +1,7 @@
 """Vertex encoding, binary order, canonical families, induced adjacency."""
 
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -10,6 +11,7 @@ from cubespectra.core import (
     VertexFamily,
     binary_compare,
     degree_profile,
+    elements_of,
     format_family,
     hamming_ball,
     induced_edges,
@@ -157,6 +159,25 @@ def test_degree_profile():
 def test_vertex_str():
     assert vertex_str(0) == "{}"
     assert vertex_str(vertex_of([1, 3])) == "{1,3}"
+
+
+def _elements_bit_by_bit(mask):
+    """Reference decoder: shift the mask right one bit at a time."""
+    out, j = [], 1
+    while mask:
+        if mask & 1:
+            out.append(j)
+        mask >>= 1
+        j += 1
+    return tuple(out)
+
+
+def test_elements_of_matches_bit_by_bit_decoding():
+    rng = random.Random(23)
+    masks = [*range(1 << 12), *(rng.getrandbits(64) for _ in range(5000)),
+             1 << 63, (1 << 64) - 1]
+    for mask in masks:
+        assert elements_of(mask) == _elements_bit_by_bit(mask), mask
 
 
 def test_dimension_cap():

@@ -140,6 +140,21 @@ def test_duplicate_vertex_witness_is_the_first():
     assert part2.witness == "{} lies in blocks 0 and 1"
 
 
+def test_witnesses_follow_binary_order():
+    # the same set {{1},{4},{8}} as ball (0, 1), built in two insertion
+    # orders that iterate differently, overlaps ball (0, 0) first at {4}
+    fam = hamming_ball(8, 1)
+    cert = build_partition(fam, 0.5)
+    witnesses = set()
+    for order in ((1, 8, 128), (128, 8, 1)):
+        ball = set()
+        for v in order:
+            ball.add(v)
+        corrupt = replace(cert, star_balls={**cert.star_balls, (0, 1): frozenset(ball)})
+        witnesses.add(verify_partition(corrupt, fam).parts[0].witness)
+    assert witnesses == {"{4} lies in balls (0, 0) and (0, 1)"}
+
+
 def _ball_8_1_corruptions():
     """Per check, a corruption of ball(8,1)'s certificate at epsilon 0.5:
     caps (1, 2), round 0's centers {} and {1}, round 1's shell the other

@@ -7,10 +7,24 @@ import pytest
 
 from conftest import brute_is_compressed, brute_lambda1
 from cubespectra import search
-from cubespectra.compress import _member_violation, is_compressed
+from cubespectra.compress import is_compressed
 from cubespectra.core import VertexFamily, degree_profile, vertex_of
 from cubespectra.search import enumerate_compressed, max_lambda1, verify_star_regime
 from cubespectra.spectral import SpectralResult, lambda1
+
+
+def full_member_scan(s, members):
+    """True when every shadow s - {e} and every left shift
+    s - {hi} + {lo}, lo < hi, of s lies in `members`: all O(|s| d) of
+    them, not only the adjacent shifts."""
+    for hi in range(s.bit_length()):
+        if s >> hi & 1:
+            if s ^ 1 << hi not in members:
+                return False
+            for lo in range(hi):
+                if not s >> lo & 1 and s ^ 1 << hi | 1 << lo not in members:
+                    return False
+    return True
 
 
 def recursive_enumeration(n, cap_dim):
@@ -32,7 +46,7 @@ def recursive_enumeration(n, cap_dim):
             if bit < top and s | bit > last:
                 cands.add(s | bit)
         for v in sorted(cands):
-            if _member_violation(v, members) is None:
+            if full_member_scan(v, members):
                 members.add(v)
                 yield from rec(v)
                 members.remove(v)
