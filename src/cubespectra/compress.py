@@ -275,20 +275,22 @@ def is_compressed(x) -> tuple[bool, CompressionStep | None]:
     return True, None
 
 
-def _vector_potential(weights: dict[int, float]) -> int:
-    """Sum of mask * weight-rank over all 2^d slots, less its constant
-    part, without visiting the slots.
+def _vector_potential(weights: dict[int, float]):
+    """The potential of every arrangement of `weights`' values: sum of
+    mask * weight-rank over all 2^d slots, less its constant part,
+    without visiting the slots.
 
-    Absent vertices weigh 0, and every slot's charge of the rank of 0 is
-    the same for every arrangement of the same weights, so only each
-    support vertex's excess over that rank is summed.  Any conditional
-    swap that moves a strictly larger weight to a smaller mask strictly
-    lowers the potential.
+    A step only permutes the weights, an absent vertex weighing 0, so the
+    ranks are computed once, here.  Every slot's charge of the rank of 0
+    is the same for every arrangement, so only each support vertex's
+    excess over that rank is summed.  Any conditional swap that moves a
+    strictly larger weight to a smaller mask strictly lowers the
+    potential.
     """
     values = sorted({0.0} | set(weights.values()))
-    rank = {w: r for r, w in enumerate(values)}
-    zero_rank = rank[0.0]
-    return sum(s * (rank[w] - zero_rank) for s, w in weights.items())
+    zero_rank = values.index(0.0)
+    rank = {w: r - zero_rank for r, w in enumerate(values)}
+    return lambda state: sum(s * rank[w] for s, w in state.items())
 
 
 def _sweep(state, d: int, step, potential, target: str, log) -> bool:
@@ -325,7 +327,8 @@ def fully_compress(x):
     if not isinstance(x, WeightVector):
         raise TypeError(f"expected VertexFamily or WeightVector, got {type(x)}")
     weights = dict(x.weights)
-    while _sweep(weights, x.d, _swap_weights, _vector_potential, "vector", log):
+    potential = _vector_potential(weights)
+    while _sweep(weights, x.d, _swap_weights, potential, "vector", log):
         pass
     return WeightVector(x.d, weights), log
 

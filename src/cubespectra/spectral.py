@@ -12,6 +12,9 @@ Three solvers live here:
   stops on that gap: as soon as it is at most `tol`, or after
   MAX_POWER_ITERATIONS.  The gap, floored at one unit of rounding, is
   the reported `error_bound`, and `converged` means `error_bound <= tol`.
+  Above 64 vertices the iteration starts from a Lanczos Ritz vector
+  (method "lanczos"), which leaves it a handful of steps instead of a
+  few hundred; the certificate does not depend on the start.
 
 * `hamming_lambda1_exact` -- the Hamming ball's Perron vector is uniform
   on each level, which collapses the eigenproblem to an (i+1)x(i+1)
@@ -66,7 +69,14 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
     at most `tol`, or after MAX_POWER_ITERATIONS.  The gap, never less
     than one ulp of the quotient, is the returned `error_bound`, so
     `converged` is exactly `error_bound <= tol`, and a `tol` below
-    rounding is never met."""
+    rounding is never met.
+
+    Up to 64 vertices the iteration starts from the uniform vector on a
+    dense A + I (method "power").  Above that it starts from the top Ritz
+    vector of a Lanczos run on a sparse A (method "lanczos", see
+    `_lanczos_start`), which leaves a handful of certifying steps.  The
+    bracket is certified whatever the start, and `iterations` counts the
+    certifying power steps."""
     if len(fam) == 0:
         raise ValueError("family is empty")
     if not 0 < tol < math.inf:
@@ -85,14 +95,16 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
         mat = np.eye(n)
         mat[np.repeat(np.arange(n), np.diff(g.indptr)), g.indices] = 1.0
         matvec = lambda v: np.add.reduce(mat * v, axis=1)
+        x = np.full(n, 1.0 / sqrt(n))
+        method = "power"
     else:
-        from scipy.sparse import csr_matrix, identity
+        from scipy.sparse import csr_matrix
 
-        data = np.ones(len(g.indices))
-        mat = csr_matrix((data, g.indices, g.indptr), shape=(n, n)) + identity(
-            n, format="csr"
-        )
-        matvec = mat.dot
+        adj = csr_matrix((np.ones(len(g.indices)), g.indices, g.indptr),
+                         shape=(n, n))
+        matvec = lambda v: adj.dot(v) + v
+        x = _lanczos_start(adj.dot, n)
+        method = "lanczos"
 
     # The Collatz-Wielandt ratio bounds rho(A + I) for positive x.  On a
     # component far below the dominant one x underflows to 0.0: a vertex
@@ -102,7 +114,6 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
     row_sums = 1.0 + np.diff(g.indptr)
     cap = float(row_sums.max())
 
-    x = np.full(n, 1.0 / sqrt(n))
     iterations = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
@@ -118,51 +129,162 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
             x = y / sqrt(np.add.reduce(y * y))
             iterations += 1
 
-    vec = WeightVector(fam.d, {v: float(w) for v, w in zip(verts, x)})
-    return SpectralResult(rho - 1.0, error, vec, iterations, "power",
+    vec = WeightVector(fam.d, dict(zip(verts, x.tolist())))
+    return SpectralResult(rho - 1.0, error, vec, iterations, method,
                           error <= tol)
+
+
+# ---------------------------------------------------------------------------
+# The Lanczos start of the sparse path.
+
+_LANCZOS_MAX_STEPS = 120
+_LANCZOS_CHECK_EVERY = 4
+_LANCZOS_RESIDUAL = 1e-13
+
+
+def _lanczos_steps(matvec, n: int):
+    """Plain Lanczos from the uniform vector, without reorthogonalisation:
+    yields (q_j, alpha_j, beta_j) for j = 1, 2, ..., where
+    A q_j = beta_{j-1} q_{j-1} + alpha_j q_j + beta_j q_{j+1}, and stops
+    after a beta_j of 0.  Only q_{j-1}, q_j and the next vector are live.
+    Every run computes the same bits, so a second run regenerates the
+    vectors of the first."""
+    q_prev = np.zeros(n)
+    q = np.full(n, 1.0 / sqrt(n))
+    beta = 0.0
+    while True:
+        w = matvec(q)
+        w -= beta * q_prev
+        alpha = float(np.add.reduce(w * q))
+        w -= alpha * q
+        beta = sqrt(float(np.add.reduce(w * w)))
+        yield q, alpha, beta
+        if beta == 0.0:
+            return
+        w /= beta
+        q_prev, q = q, w
+
+
+def _lanczos_start(matvec, n: int) -> np.ndarray:
+    """|x| / ||x|| for the top Ritz vector x of a Lanczos run on A.
+
+    Every _LANCZOS_CHECK_EVERY steps the top eigenpair (theta, s) of the
+    tridiagonal T_k is solved; the run stops once the Ritz residual
+    ||A x - theta x|| = beta_k |s_k| is at most _LANCZOS_RESIDUAL * theta,
+    when beta_k = 0 (on a Hamming ball after radius + 1 steps: the
+    Krylov space of the uniform vector is constant on each level), or
+    after _LANCZOS_MAX_STEPS.  The top Ritz pair converges before the
+    vectors lose orthogonality (Paige, 1976), so none is kept: a second
+    run regenerates them and sums x = sum_j s_j q_j.  T_k is solved by
+    Sturm bisection and inverse iteration, without BLAS, so the start
+    has the same bits on every kernel."""
+    alphas: list[float] = []
+    betas: list[float] = []
+    for _, alpha, beta in _lanczos_steps(matvec, n):
+        alphas.append(alpha)
+        betas.append(beta)
+        k = len(alphas)
+        if (beta == 0.0 or k % _LANCZOS_CHECK_EVERY == 0
+                or k == _LANCZOS_MAX_STEPS):
+            theta, s = _top_ritz_pair(alphas, betas[:-1])
+            if (beta * abs(s[-1]) <= _LANCZOS_RESIDUAL * theta
+                    or k == _LANCZOS_MAX_STEPS):
+                break
+    x = np.zeros(n)
+    for c, (q, _, _) in zip(s, _lanczos_steps(matvec, n)):
+        x += c * q
+    x = np.abs(x)
+    return x / sqrt(np.add.reduce(x * x))
+
+
+def _top_ritz_pair(diag: list[float],
+                   off: list[float]) -> tuple[float, list[float]]:
+    """The top eigenvalue of the symmetric tridiagonal matrix with the
+    given diagonal and off-diagonal, by Sturm bisection to rounding, and a
+    unit eigenvector for it by two steps of inverse iteration."""
+    theta, _ = _top_eigenvalue_bisect(off, 0.0, diag)
+    s = [1.0] * len(diag)
+    for _ in range(2):
+        s = _shifted_tridiagonal_solve(diag, off, theta, s)
+        norm = sqrt(sum(c * c for c in s))
+        s = [c / norm for c in s]
+    return theta, s
+
+
+def _shifted_tridiagonal_solve(diag: list[float], off: list[float],
+                               theta: float, rhs: list[float]) -> list[float]:
+    """Solve (T - theta I) s = rhs for the symmetric tridiagonal T, by
+    Gaussian elimination with partial pivoting; a zero pivot, which a
+    theta at an eigenvalue can leave, is replaced by a tiny one."""
+    k = len(diag)
+    d = [a - theta for a in diag]   # the pivot row's diagonal ...
+    du = off + [0.0]                # ... first and second superdiagonal
+    du2 = [0.0] * k
+    r = list(rhs)
+    for i in range(k - 1):
+        low = off[i]                # the entry below the pivot
+        if abs(d[i]) >= abs(low):
+            f = low / d[i]
+            d[i + 1] -= f * du[i]
+            r[i + 1] -= f * r[i]
+        else:
+            f = d[i] / low
+            d[i], d[i + 1], du[i], du2[i], du[i + 1] = (
+                low, du[i] - f * d[i + 1], d[i + 1], du[i + 1], -f * du[i + 1])
+            r[i], r[i + 1] = r[i + 1], r[i] - f * r[i + 1]
+    scale = max(abs(theta), 1.0) * 2.0**-52
+    s = [0.0] * k
+    for i in range(k - 1, -1, -1):
+        v = r[i]
+        if i + 1 < k:
+            v -= du[i] * s[i + 1]
+        if i + 2 < k:
+            v -= du2[i] * s[i + 2]
+        s[i] = v / (d[i] or scale)
+    return s
 
 
 # ---------------------------------------------------------------------------
 # Exact Hamming-ball solver via the level reduction.
 
 
-def _sturm_count_below(off: list[float], x: float) -> int:
+def _sturm_count_below(off: list[float], x: float, diag: list[float]) -> int:
     """Number of eigenvalues below x of the symmetric tridiagonal with
-    zero diagonal and the given off-diagonal entries (negative-pivot
-    count of the shifted LDL^T recurrence)."""
+    the given off-diagonal and diagonal entries (negative-pivot count of
+    the shifted LDL^T recurrence)."""
     count = 0
-    q = -x
+    q = diag[0] - x
     if q < 0:
         count += 1
     tiny = 1e-300
-    for b in off:
+    for a, b in zip(diag[1:], off):
         if q == 0.0:
             q = -tiny
-        q = -x - (b * b) / q
+        q = a - x - (b * b) / q
         if q < 0:
             count += 1
     return count
 
 
-def _top_eigenvalue_bisect(off: list[float], tol: float) -> tuple[float, float]:
-    """Largest eigenvalue of the zero-diagonal symmetric tridiagonal,
-    bracketed by Sturm-count bisection; returns (value, half-width)."""
+def _top_eigenvalue_bisect(off: list[float], tol: float,
+                           diag: list[float] | None = None) -> tuple[float, float]:
+    """Largest eigenvalue of the symmetric tridiagonal with nonnegative
+    off-diagonal `off` and diagonal `diag` (zero when omitted), bracketed
+    by Sturm-count bisection; returns (value, half-width)."""
     size = len(off) + 1
+    diag = diag or [0.0] * size
     if size == 1:
-        return 0.0, 0.0
-    hi = 0.0
-    for j in range(size):
-        row = (off[j - 1] if j > 0 else 0.0) + (off[j] if j < size - 1 else 0.0)
-        hi = max(hi, row)
+        return diag[0], 0.0
+    hi = max(diag[j] + (off[j - 1] if j > 0 else 0.0)
+             + (off[j] if j < size - 1 else 0.0) for j in range(size))
     hi += 1.0   # start strictly above the Gershgorin bound
-    lo = 0.0
+    lo = max(diag)
     # invariant: count_below(hi) == size, some eigenvalue >= lo
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break   # interval narrower than float spacing
-        if _sturm_count_below(off, mid) == size:
+        if _sturm_count_below(off, mid, diag) == size:
             hi = mid
         else:
             lo = mid

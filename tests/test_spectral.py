@@ -11,10 +11,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import brute_edges, brute_lambda1
 from cubespectra import spectral
-from cubespectra.core import VertexFamily, hamming_ball, initial_segment, star_family
+from cubespectra.core import (
+    VertexFamily,
+    hamming_ball,
+    initial_segment,
+    star_family,
+    write_family,
+)
 from cubespectra.spectral import (
     DEFAULT_TOL,
     _root_of_int,
@@ -79,7 +86,8 @@ def test_lambda1_nonconvergence_is_flagged(monkeypatch):
 
 def test_lambda1_tol_below_rounding_is_not_met(monkeypatch):
     # the uniform start is Q_3's Perron vector, so the exact gap is 0; the
-    # first 100 vertices of Q_8 reach a rounded gap of 0 after ~100 steps
+    # first 100 vertices of Q_8 reach the one-ulp floor a few power steps
+    # after their Lanczos start
     monkeypatch.setattr(spectral, "MAX_POWER_ITERATIONS", 300)
     for fam in (initial_segment(8, 3), initial_segment(100, 8)):
         res = lambda1(fam)
@@ -97,6 +105,76 @@ def test_lambda1_eigenvector_properties():
         # connected family: Perron weights strictly positive
         assert all(w > 0 for w in vec.weights.values())
         assert vec.support() == fam.members
+
+
+def _down_closure(tops, budget: int) -> set[int]:
+    """The down-closure of `tops`, taking them in order and skipping any
+    that would bring it above `budget` vertices."""
+    members: set[int] = set()
+    for top in tops:
+        below, s = {top}, top
+        while s:
+            s = (s - 1) & top
+            below.add(s)
+        if len(members | below) <= budget:
+            members |= below
+    return members
+
+
+@st.composite
+def sparse_families(draw):
+    """65..200 vertices of Q8-Q10: a down-closed family, or two down-closed
+    pieces of the low d - 2 coordinates, the second moved by both high
+    ones, so that no edge joins them.  Returns (family, connected)."""
+    d = draw(st.integers(8, 10))
+    connected = draw(st.booleans())
+    low = d if connected else d - 2
+    tops = st.lists(st.integers(0, 2**low - 1), max_size=40)
+    if connected:
+        members = _down_closure(draw(tops) + [0], 200)
+    else:
+        first = _down_closure(draw(tops) + [0], draw(st.integers(1, 199)))
+        second = _down_closure(draw(tops) + [0], 200 - len(first))
+        members = first | {s | 0b11 << (d - 2) for s in second}
+    assume(len(members) >= 65)
+    return VertexFamily(d, frozenset(members)), connected
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(sparse_families())
+def test_lambda1_sparse_path_property(case):
+    fam, connected = case
+    res = lambda1(fam)
+    assert res.method == "lanczos"
+    truth = brute_lambda1(fam.members, fam.d)
+    assert res.lambda1 - 1e-9 <= truth <= res.lambda1 + res.error_bound + 1e-9
+    assert not res.converged or res.error_bound <= DEFAULT_TOL
+    if connected:
+        assert res.eigenvector.support() == fam.members
+        assert all(w > 0 for w in res.eigenvector.weights.values())
+
+
+def test_lambda1_lanczos_start_leaves_few_power_steps():
+    # the largest certify inputs: from the uniform vector they took 170
+    # and 180 power steps
+    for fam in (initial_segment(59_999, 16), hamming_ball(22, 5)):
+        res = lambda1(fam)
+        assert res.method == "lanczos" and res.converged
+        assert res.error_bound <= DEFAULT_TOL and res.iterations <= 5
+
+
+def test_top_ritz_pair_matches_a_dense_eigensolver():
+    rng = np.random.default_rng(5)
+    for k in (1, 2, 3, 8, 40):
+        for _ in range(20):
+            diag = rng.normal(size=k).tolist()
+            off = rng.uniform(0.01, 3.0, size=k - 1).tolist()
+            mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            theta, s = spectral._top_ritz_pair(diag, off)
+            scale = np.abs(mat).sum(axis=1).max()
+            assert abs(theta - np.linalg.eigvalsh(mat)[-1]) <= 1e-13 * scale
+            assert isclose(np.linalg.norm(s), 1.0, abs_tol=1e-14)
+            assert np.linalg.norm(mat @ s - theta * np.array(s)) <= 1e-12 * scale
 
 
 def test_hamming_exact_small_values():
@@ -314,3 +392,39 @@ def test_search_table_has_the_same_bits_on_every_blas_kernel(coretype, tmp_path)
                    env=env, check=True, capture_output=True, timeout=120)
     assert filecmp.cmp(tmp_path / "search_table.tsv",
                        root / "goldens" / "search_table.tsv", shallow=False)
+
+
+def _lambda1_stdout(path: Path, coretype: str | None) -> bytes:
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
+    return subprocess.run([sys.executable, "-m", "cubespectra", "lambda1",
+                           "--family", str(path)],
+                          env=env, check=True, capture_output=True,
+                          timeout=120).stdout
+
+
+@pytest.fixture(scope="module")
+def sparse_lambda1_runs(tmp_path_factory):
+    """Family files on the sparse path, with the default kernel's output."""
+    runs = []
+    for name, fam in (("init.fam", initial_segment(3000, 12)),
+                      ("ball.fam", hamming_ball(12, 3))):
+        path = tmp_path_factory.mktemp("sparse") / name
+        write_family(fam, path)
+        runs.append((path, _lambda1_stdout(path, None)))
+    return runs
+
+
+@pytest.mark.parametrize("coretype", ["Prescott", "Haswell"])
+def test_sparse_lambda1_has_the_same_bits_on_every_blas_kernel(
+        coretype, sparse_lambda1_runs):
+    # the Lanczos start solves its tridiagonal matrices by bisection and
+    # inverse iteration, and sums in numpy's order, so no BLAS kernel
+    # touches the sparse path's result
+    for path, default in sparse_lambda1_runs:
+        out = _lambda1_stdout(path, coretype)
+        assert b'"method": "lanczos"' in out
+        assert out == default
