@@ -138,18 +138,34 @@ class CubeGraph:
 
 
 def cube_graph(fam: VertexFamily) -> CubeGraph:
-    """Build the induced subgraph of `fam`: every vertex's d bit-flips are
-    looked up in the sorted vertex array with one `searchsorted`, and a
-    flip that lands on an equal entry is an edge."""
-    verts = np.array(fam.sorted_members(), dtype=np.uint64)
-    bits = np.left_shift(np.uint64(1), np.arange(fam.d, dtype=np.uint64))
-    # sorting each row of flips makes each neighbour list come out sorted
-    flips = np.sort(verts[:, None] ^ bits, axis=1)
-    pos = np.searchsorted(verts, flips)
-    hit = verts[np.minimum(pos, len(verts) - 1)] == flips
-    indptr = np.zeros(len(verts) + 1, dtype=np.int64)
+    """Build the induced subgraph of `fam` from every vertex's d bit-flips.
+
+    When 2^d <= 2nd, an int32 table of 2^d entries, holding each vertex's
+    position or -1, is no larger than the n x d uint64 flip matrix, and
+    each flip is looked up in it directly.  Otherwise each row of flips
+    is sorted and looked up in the sorted vertex array with one
+    `searchsorted`, and a flip that lands on an equal entry is an edge.
+    """
+    n, d = len(fam), fam.d
+    verts = np.fromiter(fam.members, dtype=np.uint64, count=n)
+    verts.sort()
+    bits = np.left_shift(np.uint64(1), np.arange(d, dtype=np.uint64))
+    if (1 << d) <= 2 * n * d:
+        table = np.full(1 << d, -1, dtype=np.int32)
+        table[verts] = np.arange(n, dtype=np.int32)
+        # positions follow vertex order, so sorted rows are sorted lists
+        pos = np.sort(table[verts[:, None] ^ bits], axis=1)
+        hit = pos >= 0
+        indices = pos[hit].astype(np.int64)
+    else:
+        # sorting each row of flips makes each neighbour list come out sorted
+        flips = np.sort(verts[:, None] ^ bits, axis=1)
+        pos = np.searchsorted(verts, flips)
+        hit = verts[np.minimum(pos, n - 1)] == flips
+        indices = pos[hit]
+    indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(hit.sum(axis=1), out=indptr[1:])
-    return CubeGraph(verts, indptr, pos[hit])
+    return CubeGraph(verts, indptr, indices)
 
 
 def induced_edges(fam: VertexFamily) -> tuple[tuple[int, int], ...]:
@@ -192,9 +208,12 @@ def degree_profile(fam: VertexFamily) -> DegreeProfile:
 
 
 # ---------------------------------------------------------------------------
-# Family file format: first line "d=<int>", then one vertex per line as a
-# binary string of length d, character j (1-indexed, left to right) = '1'
-# iff j is an element.  '#' starts a comment; duplicate vertices are errors.
+# Family file format: first line "d=<int>" with the int in 1..64, then one
+# vertex per line as a binary string of length d, character j (1-indexed,
+# left to right) = '1' iff j is an element.  '#' starts a comment;
+# duplicate vertices are errors.  `parse_family` checks and decodes all
+# vertex lines at once as one (m, d + 1) byte array; only when a check
+# fails does it read the lines one by one, to name the first bad line.
 
 
 def mask_to_binary_string(mask: int, d: int) -> str:
@@ -207,22 +226,50 @@ def binary_string_to_mask(line: str, d: int) -> int:
     return int(line[::-1], 2)
 
 
-def _strip_comment(line: str) -> str:
-    return line.split("#", 1)[0].strip()
+def _raise_first_bad_line(body: list[str], d: int) -> None:
+    """Raise the error for the first vertex line that is malformed or
+    repeats the mask of an earlier line."""
+    seen: set[int] = set()
+    for line in body:
+        mask = binary_string_to_mask(line, d)
+        if mask in seen:
+            raise ValueError(f"duplicate vertex line {line!r}")
+        seen.add(mask)
 
 
 def parse_family(text: str) -> VertexFamily:
-    lines = [s for s in (_strip_comment(l) for l in text.splitlines()) if s]
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    lines = list(filter(None, map(str.strip, lines)))
     if not lines or not lines[0].startswith("d="):
         raise ValueError("family file must start with a 'd=<int>' line")
-    d = int(lines[0][2:])
-    members: set[int] = set()
-    for line in lines[1:]:
-        mask = binary_string_to_mask(line, d)
-        if mask in members:
-            raise ValueError(f"duplicate vertex line {line!r}")
-        members.add(mask)
-    return VertexFamily(d, frozenset(members))
+    try:
+        d = int(lines[0][2:])
+    except ValueError:
+        d = 0
+    if not 1 <= d <= MAX_DIM:
+        raise ValueError(f"header line {lines[0]!r} is not 'd=<int>' "
+                         f"with the int in 1..{MAX_DIM}")
+    m = len(lines) - 1
+    # 'replace' turns each non-ASCII character into one '?' byte, so bytes
+    # and characters agree.  The m lines end in the m newlines of the
+    # buffer; when the first d columns of every row are 0/1, the newlines
+    # can only fill the last column, so each line is d characters of 0/1.
+    raw = np.frombuffer(("\n".join(lines) + "\n").encode("ascii", "replace"),
+                        dtype=np.uint8, offset=len(lines[0]) + 1)
+    if len(raw) == m * (d + 1):
+        digits = raw.reshape(m, d + 1)[:, :d] - np.uint8(ord("0"))
+        if (digits <= 1).all():
+            packed = np.zeros((m, 8), dtype=np.uint8)
+            packed[:, :(d + 7) // 8] = np.packbits(digits, axis=1,
+                                                   bitorder="little")
+            masks = packed.view("<u8").ravel()
+            ordered = np.sort(masks)
+            if not (ordered[1:] == ordered[:-1]).any():
+                return VertexFamily(d, frozenset(masks.tolist()))
+    _raise_first_bad_line(lines[1:], d)
+    raise AssertionError("a vertex line failed a check that no line fails")
 
 
 def format_family(fam: VertexFamily) -> str:

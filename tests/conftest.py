@@ -11,6 +11,15 @@ import itertools
 from math import comb
 
 import numpy as np
+from hypothesis import settings
+
+from cubespectra.core import VertexFamily, binary_string_to_mask
+
+# Every property runs the same examples on every run, with no example
+# database and no per-example deadline; each test sets its max_examples.
+settings.register_profile("cubespectra", deadline=None, database=None,
+                          derandomize=True)
+settings.load_profile("cubespectra")
 
 
 def set_binary_less(s: set, t: set) -> bool:
@@ -98,3 +107,20 @@ def all_subsets_of_cube(d: int, n: int):
 
 def ball_size(d: int, i: int) -> int:
     return sum(comb(d, j) for j in range(i + 1))
+
+
+def parse_family_by_line(text: str) -> VertexFamily:
+    """Reference family-file reader: strip comments and blank lines, then
+    decode and check one vertex line at a time."""
+    lines = [s for s in (l.split("#", 1)[0].strip() for l in text.splitlines())
+             if s]
+    if not lines or not lines[0].startswith("d="):
+        raise ValueError("family file must start with a 'd=<int>' line")
+    d = int(lines[0][2:])
+    members: set[int] = set()
+    for line in lines[1:]:
+        mask = binary_string_to_mask(line, d)
+        if mask in members:
+            raise ValueError(f"duplicate vertex line {line!r}")
+        members.add(mask)
+    return VertexFamily(d, frozenset(members))

@@ -248,7 +248,7 @@ def families_q5_to_q8(draw):
     return fam
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@settings(max_examples=300)
 @given(families_q5_to_q8())
 def test_is_compressed_property_q5_to_q8(fam):
     ok, step = is_compressed(fam)

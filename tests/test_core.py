@@ -4,18 +4,27 @@ import itertools
 import random
 from math import comb
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import brute_edges, mask_to_set, set_binary_less
+from conftest import (
+    brute_edges,
+    mask_to_set,
+    parse_family_by_line,
+    set_binary_less,
+)
 from cubespectra.core import (
     VertexFamily,
     binary_compare,
+    cube_graph,
     degree_profile,
     elements_of,
     format_family,
     hamming_ball,
     induced_edges,
     initial_segment,
+    mask_to_binary_string,
     parse_family,
     star_family,
     vertex_of,
@@ -140,6 +149,40 @@ def test_induced_edges_with_element_64():
     assert len(induced_edges(fam)) == 10
 
 
+@st.composite
+def cube_graph_families(draw):
+    """Any family of Q1-Q10, on both sides of the direct-address bound
+    2^d <= 2nd, or a sparse family of Q20-Q64: a few seeds and their
+    flips along a few shared directions."""
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 10))
+        n = draw(st.integers(0, 2**d))
+        members = draw(st.permutations(range(2**d)))[:n]
+    else:
+        d = draw(st.one_of(st.just(64), st.integers(20, 64)))
+        seeds = draw(st.sets(st.integers(0, 2**d - 1), min_size=1, max_size=6))
+        dirs = draw(st.lists(st.one_of(st.just(d - 1), st.integers(0, d - 1)),
+                                max_size=4))
+        members = seeds | {s ^ 1 << b for s in seeds for b in dirs}
+    return VertexFamily(d, frozenset(members))
+
+
+@settings(max_examples=200)
+@given(cube_graph_families())
+def test_cube_graph_against_pair_scan(fam):
+    g = cube_graph(fam)
+    assert g.vertices.dtype == np.uint64 and g.indptr.dtype == np.int64
+    assert g.indices.dtype == np.int64
+    verts = g.vertices.tolist()
+    assert verts == sorted(fam.members)
+    edges = []
+    for k, v in enumerate(verts):
+        row = g.indices[g.indptr[k]:g.indptr[k + 1]].tolist()
+        assert row == sorted(set(row))
+        edges += [(v, verts[j]) for j in row if j > k]
+    assert edges == brute_edges(fam.members, fam.d)
+
+
 def test_ball_edge_count_formula():
     for d in range(1, 11):
         for i in range(d + 1):
@@ -214,3 +257,66 @@ def test_family_file_errors_and_comments():
         parse_family("d=3\n0_1\n")           # int(_, 2) would accept it
     with pytest.raises(ValueError):
         parse_family("000\n")                # missing header
+
+
+@st.composite
+def family_texts(draw):
+    """Family files with a valid header and vertex lines that may be
+    commented, padded, blank, repeated, of the wrong length or holding
+    other characters, with LF or CRLF endings."""
+    d = draw(st.one_of(st.just(64), st.integers(1, 12), st.integers(13, 64)))
+    vertex = st.integers(0, 2**d - 1).map(lambda m: mask_to_binary_string(m, d))
+    pad = st.sampled_from(("", " ", "\t", "  \t "))
+    lines = [draw(st.sampled_from(("", "# a family"))), f"d={d}" + draw(pad)]
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(
+            ("vertex", "vertex", "vertex", "repeat", "blank", "comment")))
+        if kind == "vertex" or (kind == "repeat" and len(lines) == 2):
+            line = draw(vertex)
+        elif kind == "repeat":
+            line = draw(st.sampled_from(lines[2:]))
+        elif kind == "blank":
+            line = draw(pad)
+        else:
+            line = draw(pad) + "# comment " + draw(vertex)
+        lines.append(draw(pad) + line + draw(st.sampled_from(("", " # 1", "#"))))
+    for _ in range(draw(st.integers(0, 2))):
+        # a faulty line: wrong length, or another character put in or over
+        k = draw(st.integers(2, len(lines)))
+        line = draw(vertex)
+        fault = draw(st.sampled_from(("short", "long", "insert", "replace")))
+        if fault == "short":
+            line = line[:draw(st.integers(0, d - 1))]
+        elif fault == "long":
+            line += draw(st.sampled_from("01"))
+        else:
+            j = draw(st.integers(0, d - 1))
+            bad = draw(st.one_of(st.sampled_from("2_ x\t\u00e9\u20ac\U0001d7ce"),
+                                 st.characters()))
+            line = line[:j] + bad + line[j + (fault == "replace"):]
+        lines.insert(k, line)
+    ending = draw(st.sampled_from(("\n", "\r\n")))
+    return ending.join(lines) + draw(st.sampled_from(("", ending)))
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400)
+@given(family_texts())
+def test_parse_family_matches_line_by_line_reading(text):
+    assert (_parse_outcome(parse_family, text)
+            == _parse_outcome(parse_family_by_line, text))
+
+
+def test_parse_family_checks_the_header_first():
+    for header in ("d=-1", "d=0", "d=x", "d=65", "d="):
+        with pytest.raises(ValueError, match=f"header line '{header}'"):
+            parse_family(f"{header}\n0\n")
+    with pytest.raises(ValueError, match="header line 'd=65'"):
+        parse_family("d=65\n" + "0" * 65 + "\n")
+    assert parse_family("d=64 # the widest\n").members == frozenset()

@@ -140,7 +140,7 @@ def sparse_families(draw):
     return VertexFamily(d, frozenset(members)), connected
 
 
-@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@settings(max_examples=150)
 @given(sparse_families())
 def test_lambda1_sparse_path_property(case):
     fam, connected = case

@@ -1,12 +1,12 @@
 """Subcube counting: exact counts, the recursion, and both bounds."""
 
-import random
 from math import comb, isclose, log2
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import brute_count_subcubes
-from cubespectra.compress import fully_compress
+from cubespectra.compress import binary_compression_family, fully_compress
 from cubespectra.core import VertexFamily, hamming_ball, initial_segment
 from cubespectra.subcubes import (
     count_subcubes,
@@ -27,15 +27,21 @@ def test_count_subcubes_examples():
     assert count_subcubes(fam, 0).count == len(fam)
 
 
-def test_count_subcubes_against_corner_scan():
-    rng = random.Random(17)
-    for _ in range(60):
-        d = rng.randint(2, 5)
-        members = frozenset(rng.sample(range(2**d), rng.randint(1, 2**d)))
-        fam = VertexFamily(d, members)
-        for dp in range(d + 1):
-            assert (count_subcubes(fam, dp).count
-                    == brute_count_subcubes(members, d, dp))
+@st.composite
+def families(draw, dims):
+    """A nonempty family of Q_d, d drawn from `dims`, of any size: bit j
+    of one drawn integer puts vertex j in the family."""
+    d = draw(dims)
+    bits = draw(st.integers(1, 2 ** 2**d - 1))
+    return VertexFamily(d, frozenset(j for j in range(2**d) if bits >> j & 1))
+
+
+@settings(max_examples=60)
+@given(families(st.integers(2, 5)))
+def test_count_subcubes_against_corner_scan(fam):
+    for dp in range(fam.d + 1):
+        assert (count_subcubes(fam, dp).count
+                == brute_count_subcubes(fam.members, fam.d, dp))
 
 
 def test_initial_count_examples():
@@ -52,8 +58,7 @@ def test_initial_count_matches_direct_count():
             assert initial_count(n, dp).count == count_subcubes(seg, dp).count
 
 
-def test_initial_segments_maximize_counts():
-    # exhaustive at d = 3, randomized at d = 5
+def test_initial_segments_maximize_counts_exhaustive_q3():
     import itertools
 
     for n in range(1, 9):
@@ -61,13 +66,13 @@ def test_initial_segments_maximize_counts():
             fam = VertexFamily(3, frozenset(combo))
             for dp in range(4):
                 assert count_subcubes(fam, dp).count <= initial_count(n, dp).count
-    rng = random.Random(23)
-    for _ in range(2000):
-        n = rng.randint(1, 32)
-        members = frozenset(rng.sample(range(32), n))
-        fam = VertexFamily(5, members)
-        for dp in range(6):
-            assert count_subcubes(fam, dp).count <= initial_count(n, dp).count
+
+
+@settings(max_examples=2000)
+@given(families(st.just(5)))
+def test_initial_segments_maximize_counts(fam):
+    for dp in range(6):
+        assert count_subcubes(fam, dp).count <= initial_count(len(fam), dp).count
 
 
 def test_generalized_binomial():
@@ -116,20 +121,15 @@ def test_count_monotone_under_compression():
                     >= count_subcubes(fam, dp).count)
 
 
-def test_count_monotone_under_binary_rearrangement():
+@settings(max_examples=1500)
+@given(families(st.just(4)), st.integers(1, 4))
+def test_count_monotone_under_binary_rearrangement(fam, i):
     # the single-coordinate rearrangement never destroys subcubes either
     # (the inductive step behind initial-segment maximality)
-    from cubespectra.compress import binary_compression_family
-
-    rng = random.Random(37)
-    for _ in range(1500):
-        members = frozenset(rng.sample(range(16), rng.randint(1, 16)))
-        fam = VertexFamily(4, members)
-        i = rng.randint(1, 4)
-        out = binary_compression_family(fam, i)
-        for dp in range(5):
-            assert (count_subcubes(out, dp).count
-                    >= count_subcubes(fam, dp).count)
+    out = binary_compression_family(fam, i)
+    for dp in range(5):
+        assert (brute_count_subcubes(out.members, 4, dp)
+                >= brute_count_subcubes(fam.members, 4, dp))
 
 
 def test_recursion_step_slack_nonnegative():
