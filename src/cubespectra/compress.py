@@ -338,12 +338,10 @@ def fully_compress(x):
 
 
 def parse_vector(text: str) -> WeightVector:
-    from .core import binary_string_to_mask
+    from .core import _header_dim, binary_string_to_mask
 
     lines = [s for s in (l.split("#", 1)[0].strip() for l in text.splitlines()) if s]
-    if not lines or not lines[0].startswith("d="):
-        raise ValueError("vector file must start with a 'd=<int>' line")
-    d = int(lines[0][2:])
+    d = _header_dim(lines, "vector")
     weights: dict[int, float] = {}
     for line in lines[1:]:
         parts = line.split()

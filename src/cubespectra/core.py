@@ -32,6 +32,8 @@ def vertex_of(elements) -> int:
 
 def elements_of(mask: int) -> tuple[int, ...]:
     """Decode a bitmask into its sorted 1-based coordinate indices."""
+    if mask < 0:
+        raise ValueError(f"vertex mask {mask} is negative")
     out = []
     while mask:
         low = mask & -mask
@@ -72,12 +74,15 @@ class VertexFamily:
             raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {self.d}")
         if not isinstance(self.members, frozenset):
             object.__setattr__(self, "members", frozenset(self.members))
-        full = (1 << self.d) - 1
-        for v in self.members:
-            if v & ~full:
-                raise ValueError(
-                    f"vertex {vertex_str(v)} has elements outside 1..{self.d}"
-                )
+        if not self.members:
+            return
+        if min(self.members) < 0:
+            raise ValueError(f"vertex mask {min(self.members)} is negative")
+        top = max(self.members)
+        if top >> self.d:
+            raise ValueError(
+                f"vertex {vertex_str(top)} has elements outside 1..{self.d}"
+            )
 
     def __len__(self) -> int:
         return len(self.members)
@@ -226,6 +231,21 @@ def binary_string_to_mask(line: str, d: int) -> int:
     return int(line[::-1], 2)
 
 
+def _header_dim(lines: list[str], kind: str) -> int:
+    """The d of a `kind` file's first line, which must read 'd=<int>' with
+    the int in 1..MAX_DIM; `lines` are the file's non-blank lines."""
+    if not lines or not lines[0].startswith("d="):
+        raise ValueError(f"{kind} file must start with a 'd=<int>' line")
+    try:
+        d = int(lines[0][2:])
+    except ValueError:
+        d = 0
+    if not 1 <= d <= MAX_DIM:
+        raise ValueError(f"header line {lines[0]!r} is not 'd=<int>' "
+                         f"with the int in 1..{MAX_DIM}")
+    return d
+
+
 def _raise_first_bad_line(body: list[str], d: int) -> None:
     """Raise the error for the first vertex line that is malformed or
     repeats the mask of an earlier line."""
@@ -242,15 +262,7 @@ def parse_family(text: str) -> VertexFamily:
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
     lines = list(filter(None, map(str.strip, lines)))
-    if not lines or not lines[0].startswith("d="):
-        raise ValueError("family file must start with a 'd=<int>' line")
-    try:
-        d = int(lines[0][2:])
-    except ValueError:
-        d = 0
-    if not 1 <= d <= MAX_DIM:
-        raise ValueError(f"header line {lines[0]!r} is not 'd=<int>' "
-                         f"with the int in 1..{MAX_DIM}")
+    d = _header_dim(lines, "family")
     m = len(lines) - 1
     # 'replace' turns each non-ASCII character into one '?' byte, so bytes
     # and characters agree.  The m lines end in the m newlines of the

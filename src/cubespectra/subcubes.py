@@ -1,6 +1,9 @@
 """Exact subcube counting and the initial-segment bounds.
 
-`count_subcubes` enumerates subcubes of an arbitrary family directly.
+`count_subcubes` counts a down-set F as sum over T in F of C(|T|, d'):
+every subcube has a unique top corner, and in a down-set every corner
+lies below it.  Other families go through a level join: a subcube (b, D),
+b + S for S in D, lies in F iff (b, D - x) and (b + x, D - x) do, x = max D.
 `initial_count` computes the count for the initial segment of the binary
 order, which maximizes it among families of the same size, via the
 binary-decomposition recursion T(n) = T(r) + T(m) + T'(m) where r is the
@@ -13,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb, log2
 
 from .core import VertexFamily
@@ -28,34 +30,31 @@ class SubcubeCount:
 def count_subcubes(fam: VertexFamily, d_prime: int) -> SubcubeCount:
     """Exact number of d_prime-dimensional subcubes inside the family.
 
-    A subcube is (base, direction set) with the base its minimum corner,
-    so each one is counted exactly once.
-    """
+    A down-set F has sum_{T in F} C(|T|, d_prime): each subcube has a unique
+    top corner, and every corner lies below it.  Else see `_level_join`."""
     if not 0 <= d_prime <= fam.d:
         raise ValueError(f"subcube dimension {d_prime} out of range 0..{fam.d}")
     members = fam.members
-    if d_prime == 0:
-        return SubcubeCount(0, len(members))
-    count = 0
-    for base in members:
-        free = [b for b in range(fam.d)
-                if not base >> b & 1 and base | (1 << b) in members]
-        if len(free) < d_prime:
-            continue
-        for dirs in combinations(free, d_prime):
-            corner_dirs = 0
-            for b in dirs:
-                corner_dirs |= 1 << b
-            sub = corner_dirs
-            ok = True
-            while sub:
-                if base | sub not in members:
-                    ok = False
-                    break
-                sub = (sub - 1) & corner_dirs
-            if ok:
-                count += 1
-    return SubcubeCount(d_prime, count)
+    for t in members:
+        m = t
+        while m and t ^ (m & -m) in members:
+            m &= m - 1
+        if m:                       # the shadow t - (m & -m) is missing
+            return SubcubeCount(d_prime, _level_join(members, fam.d, d_prime))
+    return SubcubeCount(d_prime, sum(comb(t.bit_count(), d_prime) for t in members))
+
+
+def _level_join(members: frozenset[int], d: int, d_prime: int) -> int:
+    """Count (b, D), packed as b | D << d, level by level: each arises once,
+    from (b, D - x) and (b + x, D - x) of the level below, x = max D."""
+    bits = [1 << i for i in range(d)]
+    level, count = members, len(members)
+    for _ in range(d_prime):
+        found = [key | x << d for key in level
+                 for x in bits[(key >> d).bit_length():]
+                 if not key & x and key | x in level]
+        level, count = set(found), len(found)
+    return count
 
 
 @lru_cache(maxsize=None)

@@ -76,6 +76,11 @@ def brute_count_subcubes(members, d: int, d_prime: int) -> int:
     return count
 
 
+def down_closure(masks) -> frozenset[int]:
+    """Every subset of every given mask."""
+    return frozenset(sub for mask in masks for sub in _submasks(mask))
+
+
 def _submasks(mask: int):
     sub = mask
     while True:

@@ -30,6 +30,26 @@ def all_uv_steps(d):
     return singles + swaps
 
 
+@st.composite
+def vertex_samples(draw, d, sizes):
+    """`random.sample(range(2**d), n)` from a seeded `random.Random`, n
+    drawn from `sizes`."""
+    n = draw(sizes)
+    return draw(st.randoms(use_true_random=True)).sample(range(2**d), n)
+
+
+@st.composite
+def gaussian_vectors(draw, d, support):
+    """Independent N(0, 1) weights from a seeded `random.Random` on the
+    vertices that `support` draws."""
+    rnd = draw(st.randoms(use_true_random=True))
+    return WeightVector(d, {v: rnd.gauss(0, 1) for v in draw(support)})
+
+
+def sized_families(d, sizes):
+    return vertex_samples(d, sizes).map(lambda ms: VertexFamily(d, frozenset(ms)))
+
+
 def test_compress_vector_uv_examples():
     # fixpoint case
     vec = WeightVector(2, {0: 5.0, 1: 2.0})
@@ -39,14 +59,15 @@ def test_compress_vector_uv_examples():
     vec = WeightVector(1, {0: 0.0, 1: 1.0})
     out = compress_vector_uv(vec, 1, 0)
     assert out.weight(0) == 1.0 and out.weight(1) == 0.0
-    # weight multiset preserved on random vectors
-    rng = random.Random(3)
-    for _ in range(50):
-        vec = WeightVector(3, {v: rng.gauss(0, 1) for v in range(8)})
-        out = compress_vector_uv(vec, vertex_of([2]), vertex_of([1]))
-        assert sorted(out.weights.values()) == sorted(vec.weights.values())
-        assert out.support_size() == vec.support_size()
-        assert isclose(out.norm_squared(), vec.norm_squared())
+
+
+@settings(max_examples=50)
+@given(gaussian_vectors(3, st.just(range(8))))
+def test_compress_vector_uv_preserves_the_weight_multiset(vec):
+    out = compress_vector_uv(vec, vertex_of([2]), vertex_of([1]))
+    assert sorted(out.weights.values()) == sorted(vec.weights.values())
+    assert out.support_size() == vec.support_size()
+    assert isclose(out.norm_squared(), vec.norm_squared())
 
 
 def test_compress_vector_uv_rejects_overlap():
@@ -68,16 +89,14 @@ def test_compress_family_uv_examples():
     assert len(out) == len(fam)
 
 
-def test_family_uv_matches_indicator_vector():
-    rng = random.Random(5)
-    for _ in range(80):
-        members = frozenset(rng.sample(range(16), rng.randint(1, 10)))
-        fam = VertexFamily(4, members)
-        u, v = rng.choice(all_uv_steps(4))
-        vec = WeightVector(4, {m: 1.0 for m in members})
-        out_f = compress_family_uv(fam, u, v)
-        out_v = compress_vector_uv(vec, u, v)
-        assert out_f.members == out_v.support()
+@settings(max_examples=80)
+@given(sized_families(4, st.integers(1, 10)), st.sampled_from(all_uv_steps(4)))
+def test_family_uv_matches_indicator_vector(fam, step):
+    u, v = step
+    vec = WeightVector(4, {m: 1.0 for m in fam.members})
+    out_f = compress_family_uv(fam, u, v)
+    out_v = compress_vector_uv(vec, u, v)
+    assert out_f.members == out_v.support()
 
 
 def test_binary_compression_examples():
@@ -87,33 +106,30 @@ def test_binary_compression_examples():
     # constant halves unchanged
     vec = WeightVector(2, {0: 2.0, 1: 2.0, 2: 7.0, 3: 7.0})
     assert binary_compression(vec, 2).weights == vec.weights
+
+
+@settings(max_examples=60)
+@given(gaussian_vectors(4, vertex_samples(4, st.just(9))), st.integers(1, 4))
+def test_binary_compression_is_idempotent(vec, i):
     # idempotent, multiset preserved, negatives included
-    rng = random.Random(11)
-    for _ in range(60):
-        vec = WeightVector(4, {v: rng.gauss(0, 1)
-                               for v in rng.sample(range(16), 9)})
-        i = rng.randint(1, 4)
-        once = binary_compression(vec, i)
-        twice = binary_compression(once, i)
-        assert once.weights == twice.weights
-        assert sorted(once.weights.values()) == sorted(vec.weights.values())
+    once = binary_compression(vec, i)
+    twice = binary_compression(once, i)
+    assert once.weights == twice.weights
+    assert sorted(once.weights.values()) == sorted(vec.weights.values())
 
 
-def test_binary_compression_family():
+@settings(max_examples=60)
+@given(sized_families(4, st.integers(1, 12)), st.integers(1, 4))
+def test_binary_compression_family(fam, i):
     from cubespectra.compress import binary_compression_family
 
-    rng = random.Random(19)
-    for _ in range(60):
-        members = frozenset(rng.sample(range(16), rng.randint(1, 12)))
-        fam = VertexFamily(4, members)
-        i = rng.randint(1, 4)
-        out = binary_compression_family(fam, i)
-        assert len(out) == len(fam)
-        bit = 1 << (i - 1)
-        for with_coord in (True, False):
-            half = sorted(v for v in out.members if bool(v & bit) == with_coord)
-            pool = sorted(v for v in range(16) if bool(v & bit) == with_coord)
-            assert half == pool[:len(half)]   # an initial segment of the half
+    out = binary_compression_family(fam, i)
+    assert len(out) == len(fam)
+    bit = 1 << (i - 1)
+    for with_coord in (True, False):
+        half = sorted(v for v in out.members if bool(v & bit) == with_coord)
+        pool = sorted(v for v in range(16) if bool(v & bit) == with_coord)
+        assert half == pool[:len(half)]   # an initial segment of the half
 
 
 def test_rayleigh_examples():
@@ -125,20 +141,27 @@ def test_rayleigh_examples():
     assert isclose(rayleigh(square), 2.0)
 
 
-def test_rayleigh_monotone_under_every_step():
+def _assert_every_step_keeps_rayleigh_monotone(vec):
     # single down-steps and swap steps never decrease the quadratic form
-    rng = random.Random(0)
-    for d, trials in ((5, 300), (6, 120)):
-        steps = all_uv_steps(d)
-        for _ in range(trials):
-            vec = WeightVector(d, {v: rng.gauss(0, 1) for v in range(2**d)})
-            before = rayleigh(vec)
-            for u, v in steps:
-                out = compress_vector_uv(vec, u, v)
-                after = rayleigh(out)
-                assert after >= before - 1e-12
-                assert sorted(out.weights.values()) == sorted(vec.weights.values())
-                vec, before = out, after
+    before = rayleigh(vec)
+    for u, v in all_uv_steps(vec.d):
+        out = compress_vector_uv(vec, u, v)
+        after = rayleigh(out)
+        assert after >= before - 1e-12
+        assert sorted(out.weights.values()) == sorted(vec.weights.values())
+        vec, before = out, after
+
+
+@settings(max_examples=300)
+@given(gaussian_vectors(5, st.just(range(32))))
+def test_rayleigh_monotone_under_every_step(vec):
+    _assert_every_step_keeps_rayleigh_monotone(vec)
+
+
+@settings(max_examples=120)
+@given(gaussian_vectors(6, st.just(range(64))))
+def test_rayleigh_monotone_under_every_step_q6(vec):
+    _assert_every_step_keeps_rayleigh_monotone(vec)
 
 
 def test_fully_compress_examples():
@@ -153,30 +176,26 @@ def test_fully_compress_examples():
         assert out.members == frozenset([0, 1])
 
 
-def test_fully_compress_properties():
-    rng = random.Random(9)
-    for _ in range(120):
-        members = frozenset(rng.sample(range(32), rng.randint(1, 20)))
-        fam = VertexFamily(5, members)
-        out, log = fully_compress(fam)
-        assert len(out) == len(fam)
-        assert is_compressed(out)[0]
-        assert brute_is_compressed(out.members, 5)
-        again, log2 = fully_compress(out)
-        assert again.members == out.members and log2 == []
+@settings(max_examples=120)
+@given(sized_families(5, st.integers(1, 20)))
+def test_fully_compress_properties(fam):
+    out, log = fully_compress(fam)
+    assert len(out) == len(fam)
+    assert is_compressed(out)[0]
+    assert brute_is_compressed(out.members, 5)
+    again, log2 = fully_compress(out)
+    assert again.members == out.members and log2 == []
 
 
-def test_fully_compress_vector_properties():
-    rng = random.Random(13)
-    for _ in range(60):
-        vec = WeightVector(4, {v: rng.gauss(0, 1)
-                               for v in rng.sample(range(16), rng.randint(1, 16))})
-        out, log = fully_compress(vec)
-        assert rayleigh(out) >= rayleigh(vec) - 1e-12
-        assert sorted(out.weights.values()) == sorted(vec.weights.values())
-        assert is_compressed(out)[0]
-        again, log2 = fully_compress(out)
-        assert again.weights == out.weights and log2 == []
+@settings(max_examples=60)
+@given(gaussian_vectors(4, vertex_samples(4, st.integers(1, 16))))
+def test_fully_compress_vector_properties(vec):
+    out, log = fully_compress(vec)
+    assert rayleigh(out) >= rayleigh(vec) - 1e-12
+    assert sorted(out.weights.values()) == sorted(vec.weights.values())
+    assert is_compressed(out)[0]
+    again, log2 = fully_compress(out)
+    assert again.weights == out.weights and log2 == []
 
 
 def test_is_compressed_examples():
@@ -203,27 +222,40 @@ def _first_moving_step(fam):
     return True, None
 
 
+def _assert_is_compressed_matches_step_application(fam):
+    ok, step = is_compressed(fam)
+    assert (ok, step and (step.u, step.v)) == _first_moving_step(fam), fam
+    assert ok or (step.kind, step.target) == ("uv", "family")
+    return ok
+
+
 def test_is_compressed_matches_step_application():
-    families = [VertexFamily(3, frozenset(m for m in range(8) if mask >> m & 1))
-                for mask in range(256)]
-    rng = random.Random(17)
-    for _ in range(2100):
-        d = rng.randint(4, 6)
-        fam = VertexFamily(d, frozenset(
-            rng.sample(range(2**d), rng.randint(1, 2**d))))
-        kind = rng.randrange(3)
-        if kind:
-            fam, _ = fully_compress(fam)
-        if kind == 2:   # one vertex toggled: compressed but for one member
-            fam = VertexFamily(d, fam.members ^ {rng.randrange(2**d)})
-        families.append(fam)
     compressed = 0
-    for fam in families:
-        ok, step = is_compressed(fam)
-        assert (ok, step and (step.u, step.v)) == _first_moving_step(fam), fam
-        assert ok or (step.kind, step.target) == ("uv", "family")
-        compressed += ok
-    assert 0 < compressed < len(families)
+    for mask in range(256):
+        fam = VertexFamily(3, frozenset(m for m in range(8) if mask >> m & 1))
+        compressed += _assert_is_compressed_matches_step_application(fam)
+    assert 0 < compressed < 256
+
+
+@st.composite
+def families_q4_to_q6(draw):
+    """Any nonempty family of Q4-Q6 (a uniform size, then a uniform set),
+    as it is, fully compressed, or compressed with one vertex toggled,
+    each a third of the time."""
+    d = draw(st.integers(4, 6))
+    fam = draw(sized_families(d, st.integers(1, 2**d)))
+    kind = draw(st.integers(0, 2))
+    if kind:
+        fam, _ = fully_compress(fam)
+    if kind == 2:   # one vertex toggled: compressed but for one member
+        fam = VertexFamily(d, fam.members ^ {draw(st.integers(0, 2**d - 1))})
+    return fam
+
+
+@settings(max_examples=2100)
+@given(families_q4_to_q6())
+def test_is_compressed_matches_step_application_q4_to_q6(fam):
+    _assert_is_compressed_matches_step_application(fam)
 
 
 def test_is_compressed_on_every_family_of_q4():
@@ -290,18 +322,22 @@ def _assert_fully_compress_matches_sweeps(x):
 
 
 def test_fully_compress_matches_sweeps_until_silent():
-    rng = random.Random(29)
-    for _ in range(150):
-        d = rng.randint(4, 8)
-        members = rng.sample(range(2**d), rng.randint(1, 2**d))
-        _assert_fully_compress_matches_sweeps(VertexFamily(d, frozenset(members)))
-    _assert_fully_compress_matches_sweeps(
-        VertexFamily(16, frozenset(rng.sample(range(1 << 16), 2500))))
-    for _ in range(60):
-        d = rng.randint(5, 10)
-        support = rng.sample(range(2**d), rng.randint(1, 2**d))
-        _assert_fully_compress_matches_sweeps(
-            WeightVector(d, {v: rng.gauss(0, 1) for v in support}))
+    members = random.Random(29).sample(range(1 << 16), 2500)
+    _assert_fully_compress_matches_sweeps(VertexFamily(16, frozenset(members)))
+
+
+@settings(max_examples=150)
+@given(st.integers(4, 8).flatmap(
+    lambda d: sized_families(d, st.integers(1, 2**d))))
+def test_fully_compress_matches_sweeps_on_families(fam):
+    _assert_fully_compress_matches_sweeps(fam)
+
+
+@settings(max_examples=60)
+@given(st.integers(5, 10).flatmap(
+    lambda d: gaussian_vectors(d, vertex_samples(d, st.integers(1, 2**d)))))
+def test_fully_compress_matches_sweeps_on_vectors(vec):
+    _assert_fully_compress_matches_sweeps(vec)
 
 
 def test_singleton_and_swap_fixpoints_imply_all_u_fixpoints():
@@ -336,3 +372,12 @@ def test_vector_file_roundtrip():
         parse_vector("d=2\n00 1.0\n00 2.0\n")
     with pytest.raises(ValueError):
         parse_vector("00 1.0\n")
+
+
+def test_parse_vector_checks_the_header_first():
+    for header in ("d=-1", "d=0", "d=x", "d=65", "d="):
+        with pytest.raises(ValueError, match=f"header line '{header}'"):
+            parse_vector(f"{header}\n0 1.0\n")
+    with pytest.raises(ValueError, match="header line 'd=65'"):
+        parse_vector("d=65\n" + "0" * 65 + " 1.0\n")
+    assert parse_vector("d=64 # the widest\n").weights == {}

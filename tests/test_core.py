@@ -1,8 +1,12 @@
 """Vertex encoding, binary order, canonical families, induced adjacency."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,6 +232,28 @@ def test_dimension_cap():
         VertexFamily(65, frozenset())
     with pytest.raises(ValueError):
         VertexFamily(2, frozenset([4]))   # element 3 outside Q_2
+    with pytest.raises(ValueError,   # names the largest, {1,4}
+                       match=r"vertex \{1,4\} has elements outside 1\.\.2"):
+        VertexFamily(2, frozenset([1, 4, 9, 3]))
+
+
+def test_negative_masks_are_rejected():
+    # in a child process with a timeout, since decoding a negative mask
+    # once looped forever
+    code = ("from cubespectra.core import VertexFamily, elements_of\n"
+            "for call in (lambda: VertexFamily(3, frozenset([2, -1, -5])),\n"
+            "             lambda: elements_of(-1)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["vertex mask -5 is negative",
+                                        "vertex mask -1 is negative"]
 
 
 def test_star_family():

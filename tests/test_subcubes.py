@@ -3,12 +3,13 @@
 from math import comb, isclose, log2
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import brute_count_subcubes
+from conftest import brute_count_subcubes, down_closure
 from cubespectra.compress import binary_compression_family, fully_compress
 from cubespectra.core import VertexFamily, hamming_ball, initial_segment
 from cubespectra.subcubes import (
+    _level_join,
     count_subcubes,
     generalized_binomial,
     initial_count,
@@ -39,6 +40,73 @@ def families(draw, dims):
 @settings(max_examples=60)
 @given(families(st.integers(2, 5)))
 def test_count_subcubes_against_corner_scan(fam):
+    for dp in range(fam.d + 1):
+        assert (count_subcubes(fam, dp).count
+                == brute_count_subcubes(fam.members, fam.d, dp))
+
+
+def test_count_subcubes_on_every_family_of_q4():
+    # both routes: the public function (the identity on down-sets) and
+    # the level join alone, against the corner scan
+    for bits in range(1 << 16):
+        members = frozenset(j for j in range(16) if bits >> j & 1)
+        fam = VertexFamily(4, members)
+        for dp in range(5):
+            brute = brute_count_subcubes(members, 4, dp)
+            assert count_subcubes(fam, dp).count == brute, (sorted(members), dp)
+            assert _level_join(members, 4, dp) == brute, (sorted(members), dp)
+
+
+@st.composite
+def down_sets(draw):
+    """A down-closed family of Q5-Q10 and a subcube dimension: the
+    down-closure of up to 6 vertices, or a family of up to 80 vertices
+    fully compressed, each half the time."""
+    d = draw(st.integers(5, 10))
+    masks = draw(st.frozensets(st.integers(0, 2**d - 1), min_size=1,
+                               max_size=80))
+    if draw(st.booleans()):
+        fam, _ = fully_compress(VertexFamily(d, masks))
+    else:
+        fam = VertexFamily(d, down_closure(list(masks)[:6]))
+    return fam, draw(st.integers(0, d))
+
+
+@settings(max_examples=150)
+@given(down_sets())
+def test_count_subcubes_on_down_sets(case):
+    # compressed families are down-sets, and permutation prefixes seldom are
+    fam, dp = case
+    identity = sum(comb(t.bit_count(), dp) for t in fam.members)
+    assert count_subcubes(fam, dp).count == identity
+    assert _level_join(fam.members, fam.d, dp) == identity
+    assert brute_count_subcubes(fam.members, fam.d, dp) == identity
+
+
+@st.composite
+def chain_closed_families(draw):
+    """A family of Q2-Q8 that is not down-closed but holds T minus its
+    lowest (or highest) element for every member T: the union of those
+    chains below a set of vertices."""
+    d = draw(st.integers(2, 8))
+    masks = draw(st.frozensets(st.integers(0, 2**d - 1), min_size=1,
+                               max_size=40))
+    lowest = draw(st.booleans())
+    members = set()
+    for t in masks:
+        while t:
+            members.add(t)
+            t ^= t & -t if lowest else 1 << t.bit_length() - 1
+    members.add(0)
+    fam = VertexFamily(d, frozenset(members))
+    assume(any(t ^ 1 << i not in members
+               for t in members for i in range(d) if t >> i & 1))
+    return fam
+
+
+@settings(max_examples=300)
+@given(chain_closed_families())
+def test_count_subcubes_when_a_later_shadow_is_missing(fam):
     for dp in range(fam.d + 1):
         assert (count_subcubes(fam, dp).count
                 == brute_count_subcubes(fam.members, fam.d, dp))
