@@ -47,6 +47,7 @@ def gaussian_vectors(draw, d, support):
 
 
 def sized_families(d, sizes):
+    """The families of Q_d that `vertex_samples(d, sizes)` draws."""
     return vertex_samples(d, sizes).map(lambda ms: VertexFamily(d, frozenset(ms)))
 
 

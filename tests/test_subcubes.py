@@ -63,12 +63,13 @@ def down_sets(draw):
     down-closure of up to 6 vertices, or a family of up to 80 vertices
     fully compressed, each half the time."""
     d = draw(st.integers(5, 10))
-    masks = draw(st.frozensets(st.integers(0, 2**d - 1), min_size=1,
-                               max_size=80))
+    vertex = st.integers(0, 2**d - 1)
     if draw(st.booleans()):
+        masks = draw(st.frozensets(vertex, min_size=1, max_size=80))
         fam, _ = fully_compress(VertexFamily(d, masks))
     else:
-        fam = VertexFamily(d, down_closure(list(masks)[:6]))
+        tops = draw(st.lists(vertex, min_size=1, max_size=6))
+        fam = VertexFamily(d, down_closure(tops))
     return fam, draw(st.integers(0, d))
 
 
