@@ -15,6 +15,7 @@ preconditions, 3 exhausted search budget, 64 unknown command.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -325,6 +326,7 @@ def _cmd_selftest(args):
 # Parser.
 
 
+@functools.cache   # parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "tsv"],

@@ -14,7 +14,11 @@ Three solvers live here:
   the reported `error_bound`, and `converged` means `error_bound <= tol`.
   Above 64 vertices the iteration starts from a Lanczos Ritz vector
   (method "lanczos"), which leaves it a handful of steps instead of a
-  few hundred; the certificate does not depend on the start.
+  few hundred; the certificate does not depend on the start.  That path
+  uses the bipartition into even and odd sets: A = [[0, B], [B^T, 0]],
+  lambda1 is the top singular value of B, and Lanczos runs on B B^T
+  over the even side (the Golub-Kahan route), with vectors of about
+  half the length and half the Krylov degree of a run on A.
 
 * `hamming_lambda1_exact` -- the Hamming ball's Perron vector is uniform
   on each level, which collapses the eigenproblem to an (i+1)x(i+1)
@@ -34,12 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, sqrt
 
 import numpy as np
 
 from .compress import WeightVector
-from .core import VertexFamily, cube_graph, degree_profile
+from .core import CubeGraph, VertexFamily, cube_graph, degree_profile
 from .subcubes import count_subcubes
 
 DEFAULT_TOL = 1e-10
@@ -72,21 +77,24 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
     rounding is never met.
 
     Up to 64 vertices the iteration starts from the uniform vector on a
-    dense A + I (method "power").  Above that it starts from the top Ritz
-    vector of a Lanczos run on a sparse A (method "lanczos", see
-    `_lanczos_start`), which leaves a handful of certifying steps.  The
-    bracket is certified whatever the start, and `iterations` counts the
-    certifying power steps."""
+    dense A + I (method "power").  Above that (method "lanczos") the
+    vertices are ordered even side first, A is held as its blocks B and
+    B^T (see `_bipartite_blocks`), and the iteration starts from
+    x = (u, B^T u / ||B^T u||) / sqrt(2), where u is the top Ritz vector
+    of a Lanczos run on B B^T (see `_lanczos_start`); that leaves a
+    handful of certifying steps; a family without edges gets lambda1 = 0
+    exactly, with the uniform eigenvector.  The bracket is certified
+    whatever the start, and `iterations` counts the certifying power
+    steps.  The eigenvector's weight dict is built when first read."""
     if len(fam) == 0:
         raise ValueError("family is empty")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     n = len(fam)
     g = cube_graph(fam)
-    verts = g.vertices.tolist()
 
     if n == 1:
-        vec = WeightVector(fam.d, {verts[0]: 1.0})
+        vec = WeightVector(fam.d, {int(g.vertices[0]): 1.0})
         return SpectralResult(0.0, 0.0, vec, 0, "dense-small")
 
     # Sums run in numpy's own order, not a BLAS kernel's, so the bits of
@@ -96,14 +104,28 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
         mat[np.repeat(np.arange(n), np.diff(g.indptr)), g.indices] = 1.0
         matvec = lambda v: np.add.reduce(mat * v, axis=1)
         x = np.full(n, 1.0 / sqrt(n))
+        masks = g.vertices
+        row_sums = 1.0 + np.diff(g.indptr)
         method = "power"
     else:
-        from scipy.sparse import csr_matrix
-
-        adj = csr_matrix((np.ones(len(g.indices)), g.indices, g.indptr),
-                         shape=(n, n))
-        matvec = lambda v: adj.dot(v) + v
-        x = _lanczos_start(adj.dot, n)
+        b, bt, order = _bipartite_blocks(g)
+        if b.nnz == 0:
+            # A = 0, so lambda1 is exactly 0 with the uniform eigenvector;
+            # the power loop would only add the rounding of its norm
+            vec = _ArrayWeightVector(fam.d, g.vertices,
+                                     np.full(n, 1.0 / sqrt(n)))
+            return SpectralResult(0.0, 0.0, vec, 0, "lanczos")
+        half = b.shape[0]
+        # (A + I)v in the even-first order; each row sum has the bits of
+        # the CSR product of A, whose rows hold the same neighbours in the
+        # same order
+        matvec = lambda v: np.concatenate((b.dot(v[half:]) + v[:half],
+                                           bt.dot(v[:half]) + v[half:]))
+        u = _lanczos_start(lambda u: b.dot(bt.dot(u)), half)
+        v = bt.dot(u)
+        x = np.concatenate((u, v / sqrt(np.add.reduce(v * v)))) / sqrt(2.0)
+        masks = g.vertices[order]
+        row_sums = 1.0 + np.concatenate((np.diff(b.indptr), np.diff(bt.indptr)))
         method = "lanczos"
 
     # The Collatz-Wielandt ratio bounds rho(A + I) for positive x.  On a
@@ -111,7 +133,6 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
     # with x_u = 0 < y_u has an infinite ratio, capped by rho <= the
     # largest row sum of A + I, and an all-zero component takes its row
     # sums instead.
-    row_sums = 1.0 + np.diff(g.indptr)
     cap = float(row_sums.max())
 
     iterations = 0
@@ -129,15 +150,61 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
             x = y / sqrt(np.add.reduce(y * y))
             iterations += 1
 
-    vec = WeightVector(fam.d, dict(zip(verts, x.tolist())))
+    vec = _ArrayWeightVector(fam.d, masks, x)
     return SpectralResult(rho - 1.0, error, vec, iterations, method,
                           error <= tol)
+
+
+class _ArrayWeightVector(WeightVector):
+    """A WeightVector held as arrays of masks and weights that are valid
+    by construction (members of Q_d, finite weights); its `weights` dict
+    is built, without the per-entry check, the first time it is read."""
+
+    def __init__(self, d: int, masks: np.ndarray, values: np.ndarray):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "_arrays", (masks, values))
+
+    @cached_property
+    def weights(self) -> dict[int, float]:
+        masks, values = self._arrays
+        keep = values != 0.0
+        return dict(zip(masks[keep].tolist(), values[keep].tolist()))
+
+
+def _bipartite_blocks(g: CubeGraph):
+    """B, B^T and the even-first vertex order of a cube subgraph.
+
+    Q_d is bipartite between the sets of even and odd size, so in the
+    order `order` (even side first, then odd, each ascending) A is
+    [[0, B], [B^T, 0]].  Both blocks are rows of the CSR of A with the
+    columns renumbered within their side; that renumbering is monotone,
+    so every row keeps its neighbour order."""
+    from scipy.sparse import csr_matrix
+
+    odd = np.bitwise_count(g.vertices) & 1 == 1
+    evens, odds = np.flatnonzero(~odd), np.flatnonzero(odd)
+    side_pos = np.empty(len(odd), dtype=np.int64)
+    side_pos[evens] = np.arange(len(evens))
+    side_pos[odds] = np.arange(len(odds))
+    degrees = np.diff(g.indptr)
+    cols = side_pos[g.indices]
+    from_odd = np.repeat(odd, degrees)
+
+    def block(rows, row_cols, width):
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(degrees[rows], out=indptr[1:])
+        return csr_matrix((np.ones(len(row_cols)), row_cols, indptr),
+                          shape=(len(rows), width))
+
+    return (block(evens, cols[~from_odd], len(odds)),
+            block(odds, cols[from_odd], len(evens)),
+            np.concatenate((evens, odds)))
 
 
 # ---------------------------------------------------------------------------
 # The Lanczos start of the sparse path.
 
-_LANCZOS_MAX_STEPS = 120
+_LANCZOS_MAX_STEPS = 60
 _LANCZOS_CHECK_EVERY = 4
 _LANCZOS_RESIDUAL = 1e-13
 
@@ -145,10 +212,8 @@ _LANCZOS_RESIDUAL = 1e-13
 def _lanczos_steps(matvec, n: int):
     """Plain Lanczos from the uniform vector, without reorthogonalisation:
     yields (q_j, alpha_j, beta_j) for j = 1, 2, ..., where
-    A q_j = beta_{j-1} q_{j-1} + alpha_j q_j + beta_j q_{j+1}, and stops
-    after a beta_j of 0.  Only q_{j-1}, q_j and the next vector are live.
-    Every run computes the same bits, so a second run regenerates the
-    vectors of the first."""
+    M q_j = beta_{j-1} q_{j-1} + alpha_j q_j + beta_j q_{j+1}, and stops
+    after a beta_j of 0.  A yielded q_j is never written to again."""
     q_prev = np.zeros(n)
     q = np.full(n, 1.0 / sqrt(n))
     beta = 0.0
@@ -166,21 +231,25 @@ def _lanczos_steps(matvec, n: int):
 
 
 def _lanczos_start(matvec, n: int) -> np.ndarray:
-    """|x| / ||x|| for the top Ritz vector x of a Lanczos run on A.
+    """|x| / ||x|| for the top Ritz vector x of a Lanczos run on a
+    symmetric M (the sparse path's M is BB^T, on the even side).
 
     Every _LANCZOS_CHECK_EVERY steps the top eigenpair (theta, s) of the
     tridiagonal T_k is solved; the run stops once the Ritz residual
-    ||A x - theta x|| = beta_k |s_k| is at most _LANCZOS_RESIDUAL * theta,
-    when beta_k = 0 (on a Hamming ball after radius + 1 steps: the
-    Krylov space of the uniform vector is constant on each level), or
+    ||M x - theta x|| = beta_k |s_k| is at most _LANCZOS_RESIDUAL * theta,
+    when beta_k = 0 (on a Hamming ball after about radius / 2 + 1 steps:
+    the Krylov space of the uniform vector is constant on each level), or
     after _LANCZOS_MAX_STEPS.  The top Ritz pair converges before the
-    vectors lose orthogonality (Paige, 1976), so none is kept: a second
-    run regenerates them and sums x = sum_j s_j q_j.  T_k is solved by
-    Sturm bisection and inverse iteration, without BLAS, so the start
-    has the same bits on every kernel."""
+    vectors lose orthogonality (Paige, 1976), so they are kept as they
+    come, at most _LANCZOS_MAX_STEPS * 8 * n bytes, and x = sum_j s_j q_j
+    is summed from them.  T_k is solved by Sturm bisection and inverse
+    iteration, without BLAS, so the start has the same bits on every
+    kernel."""
     alphas: list[float] = []
     betas: list[float] = []
-    for _, alpha, beta in _lanczos_steps(matvec, n):
+    basis: list[np.ndarray] = []
+    for q, alpha, beta in _lanczos_steps(matvec, n):
+        basis.append(q)
         alphas.append(alpha)
         betas.append(beta)
         k = len(alphas)
@@ -191,7 +260,7 @@ def _lanczos_start(matvec, n: int) -> np.ndarray:
                     or k == _LANCZOS_MAX_STEPS):
                 break
     x = np.zeros(n)
-    for c, (q, _, _) in zip(s, _lanczos_steps(matvec, n)):
+    for c, q in zip(s, basis):
         x += c * q
     x = np.abs(x)
     return x / sqrt(np.add.reduce(x * x))

@@ -3,7 +3,11 @@ determinism, and file outputs."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -205,3 +209,58 @@ def test_output_file(tmp_path, capsys):
         ["--output", str(target), "hamming", "--d", "6", "--i", "2"], capsys)
     assert code == 0 and out == ""
     assert abs(json.loads(target.read_text())["lambda1"] - 4.0) < 1e-9
+
+
+_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+from cubespectra import cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def _python(args, cwd):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_calls_after_a_failing_call_match_fresh_processes(tmp_path):
+    # `run` builds its parser once per process; no call, not even one
+    # that argparse rejects, may leave a trace in a later call's output
+    calls = [["lambda1", "--no-such-option"],
+             ["lambda1", "--family", "missing.fam"],
+             ["--format", "tsv", "hamming", "--d", "6", "--i", "2"],
+             ["hamming", "--d", "6", "--i", "2"],
+             ["search", "--n", "6", "--d", "5", "--top", "1"]]
+    proc = _python(["-c", _IN_ONE_PROCESS, json.dumps(calls)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    in_one = json.loads(proc.stdout)
+    assert [code for code, _, _ in in_one] == [2, 2, 0, 0, 0]
+    for argv, got in zip(calls, in_one):
+        fresh = _python(["-m", "cubespectra", *argv], tmp_path)
+        assert got == [fresh.returncode, fresh.stdout, fresh.stderr], argv
+
+
+def test_cli_calls_leave_scipy_unimported(tmp_path):
+    # importing scipy.sparse costs a large share of a process's set-up
+    # time, so only the sparse eigen-solve may import it
+    path = tmp_path / "seg.fam"
+    path.write_text(format_family(initial_segment(40, 6)))
+    calls = [["lambda1", "--family", str(path)],
+             ["search", "--n", "8", "--d", "7"]]
+    script = (_IN_ONE_PROCESS
+              + "assert all(code == 0 for code, _, _ in runs), runs\n"
+              + "assert 'scipy' not in sys.modules\n")
+    proc = _python(["-c", script, json.dumps(calls)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(json.loads(proc.stdout)[0][1])["method"] == "power"

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from math import isclose, sqrt
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from conftest import brute_edges, brute_lambda1
 from cubespectra import spectral
 from cubespectra.core import (
     VertexFamily,
+    cube_graph,
     hamming_ball,
     initial_segment,
     star_family,
@@ -161,6 +163,84 @@ def test_lambda1_lanczos_start_leaves_few_power_steps():
         res = lambda1(fam)
         assert res.method == "lanczos" and res.converged
         assert res.error_bound <= DEFAULT_TOL and res.iterations <= 5
+
+
+def test_lambda1_on_an_edgeless_sparse_family():
+    # one side empty: B has no entries, and lambda1 is exactly 0
+    evens = [v for v in range(2**10) if v.bit_count() % 2 == 0][:100]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = lambda1(VertexFamily(10, frozenset(evens)))
+    assert res.method == "lanczos" and res.converged
+    assert res.lambda1 == 0.0 and math.isfinite(res.error_bound)
+    assert res.error_bound <= DEFAULT_TOL
+
+
+def test_lambda1_with_isolated_odd_vertices():
+    # a down-set of Q10 and odd vertices with three or five elements, all
+    # holding 7, 8 and 9: at distance >= 2 from each other and >= 3 from
+    # the down-set, so B^T u is 0 on them
+    high = 0b111 << 7
+    isolated = [high] + [high | 1 << i | 1 << j
+                         for i in range(7) for j in range(i)]
+    for size in (65, 80, 127):
+        members = initial_segment(size, 10).members | frozenset(isolated)
+        res = lambda1(VertexFamily(10, members))
+        truth = brute_lambda1(members, 10)
+        assert res.method == "lanczos" and res.converged
+        assert res.lambda1 - 1e-9 <= truth <= res.lambda1 + res.error_bound + 1e-9
+
+
+def test_bipartite_blocks_give_the_bits_of_the_csr_product():
+    from scipy.sparse import csr_matrix
+
+    rng = random.Random(14)
+    nprng = np.random.default_rng(14)
+    families = [initial_segment(300, 10), hamming_ball(9, 3),
+                VertexFamily(10, frozenset(range(64, 200)))]
+    families += [VertexFamily(d, frozenset(rng.sample(range(2**d),
+                                                     rng.randint(65, 2**d))))
+                 for d in (7, 8, 9, 12) for _ in range(3)]
+    for fam in families:
+        g = cube_graph(fam)
+        n = len(g.vertices)
+        adj = csr_matrix((np.ones(len(g.indices)), g.indices, g.indptr),
+                         shape=(n, n))
+        b, bt, order = spectral._bipartite_blocks(g)
+        half = b.shape[0]
+        parity = [int(v).bit_count() % 2 for v in g.vertices[order]]
+        assert parity == [0] * half + [1] * (n - half)
+        for _ in range(3):
+            # magnitudes over 30 decades, so a sum in another order
+            # rounds differently
+            x = nprng.normal(size=n) * 10.0 ** nprng.uniform(-15, 15, size=n)
+            want = (adj.dot(x) + x)[order]
+            v = x[order]
+            got = np.concatenate((b.dot(v[half:]) + v[:half],
+                                  bt.dot(v[:half]) + v[half:]))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_lanczos_start_runs_on_the_even_half(monkeypatch):
+    runs = []
+    steps = spectral._lanczos_steps
+
+    def counted(matvec, n):
+        runs.append([n, 0])
+        for item in steps(matvec, n):
+            runs[-1][1] += 1
+            yield item
+
+    monkeypatch.setattr(spectral, "_lanczos_steps", counted)
+    for fam in (initial_segment(59_999, 16), hamming_ball(22, 5)):
+        res = lambda1(fam)
+        evens = sum(1 for v in fam.members if v.bit_count() % 2 == 0)
+        assert res.converged and res.iterations <= 5
+        # one run, on vectors of the even side, stopped by its residual
+        # test before the step cap
+        assert len(runs) == 1 and runs[0][0] == evens
+        assert runs[0][1] < spectral._LANCZOS_MAX_STEPS == 60
+        runs.clear()
 
 
 def test_top_ritz_pair_matches_a_dense_eigensolver():
