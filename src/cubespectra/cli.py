@@ -21,7 +21,7 @@ import random
 import sys
 
 from . import compress as comp
-from . import core, search, spectral, subcubes
+from . import core, goldens, search, spectral, subcubes
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -278,8 +278,6 @@ def _cmd_partition(args):
 
 
 def _cmd_regen_goldens(args):
-    from . import goldens
-
     written = goldens.regenerate(args.suite, args.outdir)
     return EXIT_OK, {"suite": args.suite, "files": written}
 
@@ -393,9 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true")
 
     p = sub("regen-goldens", help="regenerate a golden table")
-    p.add_argument("--suite", required=True,
-                   choices=["hamming-table", "bounds-table", "search-table",
-                            "partition-certs"])
+    p.add_argument("--suite", required=True, choices=goldens.SUITES)
     p.add_argument("--outdir", default="goldens")
 
     p = sub("selftest", help="seeded invariant spot-checks")

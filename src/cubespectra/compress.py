@@ -202,15 +202,8 @@ def binary_compression(vec: WeightVector, i: int) -> WeightVector:
 def binary_compression_family(fam: VertexFamily, i: int) -> VertexFamily:
     """Binary rearrangement of an indicator: each half's members become an
     initial segment of that half."""
-    if not 1 <= i <= fam.d:
-        raise ValueError(f"coordinate {i} out of range 1..{fam.d}")
-    bit = 1 << (i - 1)
-    members = set()
-    for with_coord in (True, False):
-        count = sum(1 for s in fam.members if bool(s & bit) == with_coord)
-        for r in range(count):
-            members.add(_half_slot(r, bit, with_coord))
-    return VertexFamily(fam.d, frozenset(members))
+    ones = WeightVector(fam.d, dict.fromkeys(fam.members, 1.0))
+    return VertexFamily(fam.d, binary_compression(ones, i).support())
 
 
 def rayleigh(vec: WeightVector) -> float:

@@ -45,14 +45,14 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
-from math import log, sqrt
+from math import inf, log, sqrt
 
 import numpy as np
 
 from .compress import _member_fails, is_compressed
 from .core import (VertexFamily, adjacency_lists, elements_of, star_family,
                    vertex_of, vertex_str)
-from .spectral import DEFAULT_TOL, SpectralResult, lambda1, star_value
+from .spectral import DEFAULT_TOL, _shifted_adjacency, lambda1, star_value
 
 # Power steps before the screen's Collatz-Wielandt ratio: more steps leave
 # fewer families to `lambda1`, and no count, 0 included, alters a result.
@@ -134,8 +134,7 @@ def _screen(chunk: list[tuple[int, ...]]) -> list[float]:
     members, all of one size n.  Power steps on B = A + I keep x positive,
     as a compressed family is down-closed, so connected."""
     members = np.array(chunk, dtype=np.uint64)
-    diff = members[:, :, None] ^ members[:, None, :]
-    b = ((diff & (diff - np.uint64(1))) == 0).astype(float)   # A + I
+    b = _shifted_adjacency(members)   # A + I
     x = np.ones((*members.shape, 1))
     for _ in range(SCREEN_STEPS):
         x = b @ x
@@ -312,11 +311,11 @@ def _round(members, d: int, k: int, shells, centers, caps, covered):
 
 def build_partition(fam: VertexFamily, epsilon: float) -> PartitionCertificate:
     """Construct the heavy-vertex partition of a compressed family."""
+    if not 0 < epsilon < inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     ok, violation = is_compressed(fam)
     if not ok:
         raise ValueError(f"family is not compressed: violates {violation.describe()}")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     d = fam.d
     members = fam.members
     adj = adjacency_lists(fam)
@@ -404,14 +403,14 @@ class PartitionReport:
 def _induced_degree(members: frozenset[int], adj) -> int:
     best = 0
     for s in members:
-        best = max(best, sum(1 for u in adj[s] if u in members))
+        best = max(best, sum(1 for u in adj.get(s, ()) if u in members))
     return best
 
 
 def _block_edges(members: frozenset[int], adj) -> set[tuple[int, int]]:
     out = set()
     for s in members:
-        for u in adj[s]:
+        for u in adj.get(s, ()):
             if u in members and u > s:
                 out.add((s, u))
     return out
@@ -449,11 +448,11 @@ def verify_partition(cert: PartitionCertificate, fam: VertexFamily) -> Partition
     are checked alongside; the seventh is part 1.  Each check yields its
     witnesses and fails with the first one.  Part 2 re-derives the shells
     and centers from the certificate's own caps, so a vertex moved
-    between blocks is caught with a witness.
+    between blocks or covered sets is caught with a witness.
     """
     members = fam.members
-    adj = adjacency_lists(fam)
     d, depth = cert.d, cert.depth
+    adj = adjacency_lists(fam)   # read with .get: a non-member has no edges
     limit = cert.epsilon * d
     degrees = [_induced_degree(block, adj) for block in cert.blocks()]
 
@@ -461,6 +460,8 @@ def verify_partition(cert: PartitionCertificate, fam: VertexFamily) -> Partition
         seen: dict[int, tuple[int, int]] = {}
         for key, ball in sorted(cert.star_balls.items()):
             for v in sorted(ball):
+                if v not in members:
+                    yield f"{vertex_str(v)} in ball {key} is not a vertex"
                 if v in seen:
                     yield f"{vertex_str(v)} lies in balls {seen[v]} and {key}"
                 seen[v] = key
@@ -487,6 +488,9 @@ def verify_partition(cert: PartitionCertificate, fam: VertexFamily) -> Partition
             if center != cert.centers[k]:
                 bad = min(center ^ cert.centers[k])
                 yield f"round {k} centers mismatch at {vertex_str(bad)}"
+        for k, cov in enumerate(cert.covered):
+            if stray := cov ^ {v for v, j in placed.items() if j <= k}:
+                yield f"covered[{k}] mismatch at {vertex_str(min(stray))}"
 
     def edge_mismatches():
         covered = set()
@@ -521,7 +525,7 @@ def verify_partition(cert: PartitionCertificate, fam: VertexFamily) -> Partition
             if k + 2 <= depth:
                 later |= cert.shells[k + 2] | cert.centers[k + 2]
             for s in sorted(cert.covered[k]):
-                for u in adj[s]:
+                for u in adj.get(s, ()):
                     if u in later:
                         yield (f"edge {vertex_str(s)}-{vertex_str(u)} "
                                f"leaves covered[{k}]")

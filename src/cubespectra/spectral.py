@@ -12,13 +12,16 @@ Three solvers live here:
   stops on that gap: as soon as it is at most `tol`, or after
   MAX_POWER_ITERATIONS.  The gap, floored at one unit of rounding, is
   the reported `error_bound`, and `converged` means `error_bound <= tol`.
-  Above 64 vertices the iteration starts from a Lanczos Ritz vector
-  (method "lanczos"), which leaves it a handful of steps instead of a
-  few hundred; the certificate does not depend on the start.  That path
-  uses the bipartition into even and odd sets: A = [[0, B], [B^T, 0]],
-  lambda1 is the top singular value of B, and Lanczos runs on B B^T
-  over the even side (the Golub-Kahan route), with vectors of about
-  half the length and half the Krylov degree of a run on A.
+  A family without edges gets the interval [0, 0] exactly, at any size.
+  Up to 64 vertices A + I is dense, built from the member masks by the
+  XOR test of `search`'s screen (`_shifted_adjacency`).  Above that the
+  iteration starts from a Lanczos Ritz vector (method "lanczos"), which
+  leaves it a handful of steps instead of a few hundred; the certificate
+  does not depend on the start.  That path uses the bipartition into
+  even and odd sets: A = [[0, B], [B^T, 0]], lambda1 is the top
+  singular value of B, and Lanczos runs on B B^T over the even side
+  (the Golub-Kahan route), with vectors of about half the length and
+  half the Krylov degree of a run on A.
 
 * `hamming_lambda1_exact` -- the Hamming ball's Perron vector is uniform
   on each level, which collapses the eigenproblem to an (i+1)x(i+1)
@@ -77,53 +80,46 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
     rounding is never met.
 
     Up to 64 vertices the iteration starts from the uniform vector on a
-    dense A + I (method "power").  Above that (method "lanczos") the
-    vertices are ordered even side first, A is held as its blocks B and
-    B^T (see `_bipartite_blocks`), and the iteration starts from
+    dense A + I built from the member masks (`_shifted_adjacency`; method
+    "power", "dense-small" for one vertex).  Above that (method "lanczos")
+    the vertices are ordered even side first, A is held as its blocks B
+    and B^T (see `_bipartite_blocks`), and the iteration starts from
     x = (u, B^T u / ||B^T u||) / sqrt(2), where u is the top Ritz vector
     of a Lanczos run on B B^T (see `_lanczos_start`); that leaves a
-    handful of certifying steps; a family without edges gets lambda1 = 0
-    exactly, with the uniform eigenvector.  The bracket is certified
-    whatever the start, and `iterations` counts the certifying power
-    steps.  The eigenvector's weight dict is built when first read."""
+    handful of certifying steps.  On either path a family without edges
+    gets lambda1 = 0 and error_bound = 0 exactly, with the uniform
+    eigenvector.  The bracket is certified whatever the start, and
+    `iterations` counts the certifying power steps.  The eigenvector's
+    weight dict is built when first read."""
     if len(fam) == 0:
         raise ValueError("family is empty")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     n = len(fam)
-    g = cube_graph(fam)
-
-    if n == 1:
-        vec = WeightVector(fam.d, {int(g.vertices[0]): 1.0})
-        return SpectralResult(0.0, 0.0, vec, 0, "dense-small")
+    uniform = np.full(n, 1.0 / sqrt(n))
 
     # Sums run in numpy's own order, not a BLAS kernel's, so the bits of
     # the result do not depend on which kernel the CPU selects.
     if n <= 64:
-        mat = np.eye(n)
-        mat[np.repeat(np.arange(n), np.diff(g.indptr)), g.indices] = 1.0
+        masks = np.array(sorted(fam.members), dtype=np.uint64)
+        mat = _shifted_adjacency(masks)
         matvec = lambda v: np.add.reduce(mat * v, axis=1)
-        x = np.full(n, 1.0 / sqrt(n))
-        masks = g.vertices
-        row_sums = 1.0 + np.diff(g.indptr)
-        method = "power"
+        start = lambda: uniform
+        row_sums = np.add.reduce(mat, axis=1)
+        method = "power" if n > 1 else "dense-small"
     else:
+        g = cube_graph(fam)
         b, bt, order = _bipartite_blocks(g)
-        if b.nnz == 0:
-            # A = 0, so lambda1 is exactly 0 with the uniform eigenvector;
-            # the power loop would only add the rounding of its norm
-            vec = _ArrayWeightVector(fam.d, g.vertices,
-                                     np.full(n, 1.0 / sqrt(n)))
-            return SpectralResult(0.0, 0.0, vec, 0, "lanczos")
         half = b.shape[0]
         # (A + I)v in the even-first order; each row sum has the bits of
         # the CSR product of A, whose rows hold the same neighbours in the
         # same order
         matvec = lambda v: np.concatenate((b.dot(v[half:]) + v[:half],
                                            bt.dot(v[:half]) + v[half:]))
-        u = _lanczos_start(lambda u: b.dot(bt.dot(u)), half)
-        v = bt.dot(u)
-        x = np.concatenate((u, v / sqrt(np.add.reduce(v * v)))) / sqrt(2.0)
+        def start():
+            u = _lanczos_start(lambda u: b.dot(bt.dot(u)), half)
+            v = bt.dot(u)
+            return np.concatenate((u, v / sqrt(np.add.reduce(v * v)))) / sqrt(2.0)
         masks = g.vertices[order]
         row_sums = 1.0 + np.concatenate((np.diff(b.indptr), np.diff(bt.indptr)))
         method = "lanczos"
@@ -132,8 +128,12 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
     # component far below the dominant one x underflows to 0.0: a vertex
     # with x_u = 0 < y_u has an infinite ratio, capped by rho <= the
     # largest row sum of A + I, and an all-zero component takes its row
-    # sums instead.
+    # sums instead.  A cap of 1 means A = 0, so lambda1 = 0 exactly.
     cap = float(row_sums.max())
+    if cap == 1.0:
+        vec = _ArrayWeightVector(fam.d, masks, uniform)
+        return SpectralResult(0.0, 0.0, vec, 0, method)
+    x = start()
 
     iterations = 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -153,6 +153,14 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
     vec = _ArrayWeightVector(fam.d, masks, x)
     return SpectralResult(rho - 1.0, error, vec, iterations, method,
                           error <= tol)
+
+
+def _shifted_adjacency(masks: np.ndarray) -> np.ndarray:
+    """A + I, as floats, of the cube subgraph on each row of the uint64
+    `masks` ((n,) or an (F, n) stack): two masks are equal or adjacent
+    exactly when their XOR has at most one bit set."""
+    diff = masks[..., :, None] ^ masks[..., None, :]
+    return ((diff & (diff - np.uint64(1))) == 0).astype(float)
 
 
 class _ArrayWeightVector(WeightVector):

@@ -132,6 +132,16 @@ def test_partition_command(tmp_path, capsys):
     assert json.loads(out)["verified"] is True
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_partition_rejects_non_finite_epsilon(epsilon, tmp_path, capsys):
+    path = tmp_path / "ball.fam"
+    path.write_text(format_family(hamming_ball(8, 1)))
+    code, out, err = run_cli(["partition", "--family", str(path),
+                              "--epsilon", epsilon, "--verify"], capsys)
+    assert code == cli.EXIT_PRECONDITION and out == ""
+    assert f"epsilon must be positive and finite, got {epsilon}" in err
+
+
 def test_search_out_file_and_budget(tmp_path, capsys):
     out_path = tmp_path / "max.fam"
     code, out, _ = run_cli(

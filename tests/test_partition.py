@@ -1,5 +1,6 @@
 """Heavy-vertex partition certificates and their verification."""
 
+import math
 import random
 from dataclasses import replace
 
@@ -195,6 +196,33 @@ def test_each_check_fails_on_its_corrupted_certificate(name):
         assert not check.passed
         assert check.witness != ""
     assert not report.all_passed
+
+
+def _with_ball(key, ball):
+    return lambda c: replace(c, star_balls={**c.star_balls, key: frozenset(ball)})
+
+
+@pytest.mark.parametrize("corrupt, outside", [
+    (lambda c: replace(c, shells=(c.shells[0], c.shells[1] | {0b11})), "{1,2}"),
+    (_with_ball((0, 1), {1, 0b11}), "{1,2}"),
+    (lambda c: replace(c, covered=(c.covered[0] | {0b11}, c.covered[1])), "{1,2}"),
+    # {1,2,3,4} has no neighbour among the certificate's vertices
+    (_with_ball((0, 1), {1, 0b1111}), "{1,2,3,4}"),
+    (_with_ball((0, 1), {0b1111}), "{1,2,3,4}"),
+    (_with_ball((5, 77), {0b1111}), "{1,2,3,4}"),
+], ids=["shell", "star_ball", "covered", "far_star_ball", "replaced_star_ball",
+        "extra_star_ball"])
+def test_certificate_vertex_outside_the_family_is_a_witness(corrupt, outside):
+    fam = hamming_ball(8, 1)
+    report = verify_partition(corrupt(build_partition(fam, 0.5)), fam)
+    assert not report.all_passed
+    assert any(outside in c.witness for c in report.failures())
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+def test_non_finite_epsilon_is_rejected(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        build_partition(hamming_ball(8, 1), epsilon)
 
 
 def test_star_ball_edges_cover_cross_edges():

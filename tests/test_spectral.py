@@ -176,6 +176,48 @@ def test_lambda1_on_an_edgeless_sparse_family():
     assert res.error_bound <= DEFAULT_TOL
 
 
+def test_lambda1_on_edgeless_dense_families():
+    # the rounded uniform vector's norm is not exactly 1, so a power step
+    # on A + I = I would put the interval a few ulps off 0
+    evens = [v for v in range(2**8) if v.bit_count() % 2 == 0]
+    for size in range(2, 65):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = lambda1(VertexFamily(8, frozenset(evens[:size])))
+        assert res.interval() == (0.0, 0.0) and res.converged
+        assert res.method == "power" and res.iterations == 0
+
+
+def test_dense_lambda1_builds_no_cube_graph(monkeypatch):
+    def refuse(fam):
+        raise AssertionError("cube_graph called on the dense path")
+
+    monkeypatch.setattr(spectral, "cube_graph", refuse)
+    for fam in (VertexFamily(3, frozenset([5])), initial_segment(64, 8),
+                star_family(8, 5), hamming_ball(6, 1)):
+        res = lambda1(fam)
+        assert res.converged
+        assert abs(res.lambda1 - brute_lambda1(fam.members, fam.d)) < 1e-9
+
+
+def test_shifted_adjacency_is_a_plus_i():
+    rng = random.Random(15)
+    for n in (1, 2, 7, 30):
+        stack = []
+        for _ in range(4):
+            d = rng.randint(max(1, (n - 1).bit_length()), 12)
+            members = sorted(rng.sample(range(2**d), n))
+            want = np.eye(n)
+            for u, v in brute_edges(members, d):
+                want[members.index(u), members.index(v)] = 1.0
+                want[members.index(v), members.index(u)] = 1.0
+            masks = np.array(members, dtype=np.uint64)
+            assert np.array_equal(spectral._shifted_adjacency(masks), want)
+            stack.append((masks, want))
+        got = spectral._shifted_adjacency(np.stack([m for m, _ in stack]))
+        assert np.array_equal(got, np.stack([w for _, w in stack]))
+
+
 def test_lambda1_with_isolated_odd_vertices():
     # a down-set of Q10 and odd vertices with three or five elements, all
     # holding 7, 8 and 9: at distance >= 2 from each other and >= 3 from
