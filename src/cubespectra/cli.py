@@ -118,6 +118,8 @@ def _cmd_hamming(args):
 
 def _cmd_bounds(args):
     fam = core.read_family(args.family)
+    if len(fam) == 0:
+        raise ValueError("family is empty")
     record = {
         "n": len(fam),
         "d": fam.d,
@@ -134,9 +136,8 @@ def _cmd_bounds(args):
     }
     if 2 * fam.max_set_size() <= fam.d:
         record["level_bound"] = spectral.level_bound(fam)
-    if len(fam) > 0:
-        record["walk_trace_k2"] = spectral.walk_trace_bound(fam, 2)
-        record["lambda1"] = spectral.lambda1(fam, tol=args.tol).lambda1
+    record["walk_trace_k2"] = spectral.walk_trace_bound(fam, 2)
+    record["lambda1"] = spectral.lambda1(fam, tol=args.tol).lambda1
     return EXIT_OK, record
 
 

@@ -22,12 +22,15 @@ the families whose hi reaches the best lo, so two families tie when their
 intervals overlap, and the runner-ups are the next `top_k` families that
 are not maximizers.
 
-The maximization screens, then certifies.  `_screen` gives each family
-an upper bound u: the Collatz-Wielandt ratio max_v (Bx)_v / x_v of
-B = A + I at the positive x reached by SCREEN_STEPS batched power steps,
-rounded up by a relative 1 + 4 n eps, minus 1.  `lambda1` then certifies
-families in order of decreasing u, and stops at the first family with
-u + tol below the best lo and u below the lowest reported lo.  The stop
+The maximization screens, then certifies.  Q_d is bipartite, so
+A = [[0, B], [B^T, 0]] with the even members as B's rows, and lambda1^2
+is the top eigenvalue of B B^T.  `_screen` gives each family an upper
+bound u: the square root of the Collatz-Wielandt ratio
+max_v (B B^T x)_v / x_v over the even members, at the positive x reached
+by SCREEN_STEPS batched steps x <- B B^T x, rounded up by a relative
+1 + (4n + 8) eps.  `lambda1` then certifies families in order of
+decreasing u, and stops at the first family with u + tol below the
+best lo and u below the lowest reported lo.  The stop
 is exact: no lo that `lambda1` computes exceeds u, and a converged hi is
 at most lo + tol.  No family left uncertified can therefore be a
 maximizer or a runner-up, and the result is the one that certifying
@@ -52,14 +55,17 @@ import numpy as np
 from .compress import _member_fails, is_compressed
 from .core import (VertexFamily, adjacency_lists, elements_of, star_family,
                    vertex_of, vertex_str)
-from .spectral import DEFAULT_TOL, _shifted_adjacency, lambda1, star_value
+from .spectral import DEFAULT_TOL, _bipartite_stack, lambda1, star_value
 
-# Power steps before the screen's Collatz-Wielandt ratio: more steps leave
-# fewer families to `lambda1`, and no count, 0 included, alters a result.
-SCREEN_STEPS = 12
+# Steps on B B^T before the screen's Collatz-Wielandt ratio: more steps
+# leave fewer families to `lambda1`, and no count, 0 included, alters a
+# result.  4 certify as few families as 12 on A + I did at n = 8..28 and
+# 48; 3 send more to `lambda1` at (n, d) = (56, 10).
+SCREEN_STEPS = 4
 
-# Entries of one (F, n, n) screen stack: F is SCREEN_ENTRIES // n**2
-# families (at least one), 512 KB of float64.
+# Bound on the entries of one (F, E, O) screen stack: F is
+# SCREEN_ENTRIES // n**2 families (at least one), and E, O <= n, so at
+# most 512 KB of float64.
 SCREEN_ENTRIES = 1 << 16
 
 
@@ -130,21 +136,38 @@ class SearchResult:
 
 def _screen(chunk: list[tuple[int, ...]]) -> list[float]:
     """Each family's Collatz-Wielandt bound on lambda1, rounded up past
-    every lower end `lambda1` computes; `chunk` holds the families' sorted
-    members, all of one size n.  Power steps on B = A + I keep x positive,
-    as a compressed family is down-closed, so connected."""
-    members = np.array(chunk, dtype=np.uint64)
-    b = _shifted_adjacency(members)   # A + I
-    x = np.ones((*members.shape, 1))
+    every lower end `lambda1` computes; `chunk` holds the sorted members
+    of compressed families, all of one size n.
+
+    lambda1^2 is the top eigenvalue of B B^T on the even side
+    (`_bipartite_stack`), and max_v (B B^T x)_v / x_v bounds it for any
+    positive x.  A compressed family is down-closed, so connected: for
+    n >= 2 every even member has a neighbour, and B B^T is irreducible
+    on the even members with their degrees on its diagonal, so steps
+    from the ones on those rows keep x positive there.  A one-vertex
+    family has no edge and gets u = 0."""
+    n = len(chunk[0])
+    if n == 1:
+        return [0.0] * len(chunk)
+    b = _bipartite_stack(np.array(chunk, dtype=np.uint64))
+    rows = b.any(axis=2)[:, None, :]    # the even members, as (F, 1, E)
+    x = rows.astype(float)
     for _ in range(SCREEN_STEPS):
-        x = b @ x
-        x /= x.max(axis=1, keepdims=True)
-    ratio = (b @ x / x).max(axis=(1, 2))
-    # Rounding, in eps = 2**-52: each row sum (at most d + 1 <= n positive
-    # terms) errs by n/2 here and in `lambda1`, whose Rayleigh quotient
-    # (n terms, at |x|^2 <= 1 + n/2 + 2) adds n + 2; with this division
-    # and product, 2n + 3 <= 4n for n >= 2 (n = 1 is exact).
-    return (ratio * (1 + 4 * len(chunk[0]) * np.finfo(float).eps) - 1).tolist()
+        x = x @ b @ b.mT
+        x /= x.max(axis=2, keepdims=True)
+    ratio = np.divide(x @ b @ b.mT, x, out=np.zeros_like(x), where=rows)
+    # Rounding, in eps = 2**-52, to first order.  The sums of B^T x and
+    # B (B^T x) make at most e - 1 and o - 1 additions of nonnegative
+    # terms (e + o = n members), the division and the square root one
+    # rounding each: sqrt(ratio) >= lambda1 (1 - (n + 3) eps/4).
+    # `lambda1`'s Rayleigh quotient is at most (lambda1 + 1)(1 + (3n/2 + 2)
+    # eps): row sums and products n/2 each, |x|^2 <= 1 + (n/2 + 2) eps.
+    # As lambda1 >= 1 for n >= 2, its lower end is at most
+    # lambda1 (1 + (3n + 4) eps), plus eps/2 for the subtraction of 1.
+    # With eps/2 for the product below, these add up to (13n + 23) eps/4,
+    # and 1 + (4n + 8) eps leaves (3n + 9) eps/4 for second-order terms.
+    round_up = 1 + (4 * n + 8) * np.finfo(float).eps
+    return (np.sqrt(ratio.max(axis=(1, 2))) * round_up).tolist()
 
 
 def _split(ranked, top_k: int):
@@ -169,15 +192,19 @@ def max_lambda1(n: int, d: int, tol: float = DEFAULT_TOL, top_k: int = 3,
     rank by lo.  The maximizers are the families whose hi reaches the
     best lo (intervals that overlap tie); the runner-ups are the next
     `top_k` non-maximizers with their lo.  `lambda1` certifies families
-    in order of decreasing screen bound u (`_screen`: a Collatz-Wielandt
-    bound, rounded up past every lo `lambda1` computes) until u + tol
-    falls below the best lo and u below the lowest reported lo, so the
-    result is the one that certifying every family would give.
+    in order of decreasing screen bound u (`_screen`: the square root of
+    a Collatz-Wielandt bound on B B^T over the even members, rounded up
+    past every lo `lambda1` computes) until u + tol falls below the best
+    lo and u below the lowest reported lo, so the result is the one that
+    certifying every family would give.  A budget `max_families` stops
+    the enumeration after that many families (at least 1).
     """
     if n > 2**d:
         raise ValueError(f"no family of size {n} fits in Q_{d}")
     if top_k < 0:
         raise ValueError(f"top_k must be >= 0, got {top_k}")
+    if max_families is not None and max_families < 1:
+        raise ValueError(f"search budget must be >= 1, got {max_families}")
     restricted = d < n - 1
     cap_dim = min(d, max(n - 1, 1))
     families: list[tuple[int, ...]] = []
@@ -187,8 +214,6 @@ def max_lambda1(n: int, d: int, tol: float = DEFAULT_TOL, top_k: int = 3,
             complete = False
             break
         families.append(ms)
-    if not families:
-        raise ValueError("search yielded no families")
     chunk = max(1, SCREEN_ENTRIES // (n * n))
     bounds = [u for start in range(0, len(families), chunk)
               for u in _screen(families[start:start + chunk])]

@@ -13,15 +13,16 @@ Three solvers live here:
   MAX_POWER_ITERATIONS.  The gap, floored at one unit of rounding, is
   the reported `error_bound`, and `converged` means `error_bound <= tol`.
   A family without edges gets the interval [0, 0] exactly, at any size.
-  Up to 64 vertices A + I is dense, built from the member masks by the
-  XOR test of `search`'s screen (`_shifted_adjacency`).  Above that the
-  iteration starts from a Lanczos Ritz vector (method "lanczos"), which
+  Up to 64 vertices A + I is dense, built from the member masks by an
+  XOR test (`_shifted_adjacency`).  Above that the iteration starts
+  from a Lanczos Ritz vector (method "lanczos"), which
   leaves it a handful of steps instead of a few hundred; the certificate
   does not depend on the start.  That path uses the bipartition into
   even and odd sets: A = [[0, B], [B^T, 0]], lambda1 is the top
   singular value of B, and Lanczos runs on B B^T over the even side
   (the Golub-Kahan route), with vectors of about half the length and
-  half the Krylov degree of a run on A.
+  half the Krylov degree of a run on A.  `search`'s screen takes the same
+  route with dense stacks of B, one per family (`_bipartite_stack`).
 
 * `hamming_lambda1_exact` -- the Hamming ball's Perron vector is uniform
   on each level, which collapses the eigenproblem to an (i+1)x(i+1)
@@ -207,6 +208,31 @@ def _bipartite_blocks(g: CubeGraph):
     return (block(evens, cols[~from_odd], len(odds)),
             block(odds, cols[from_odd], len(evens)),
             np.concatenate((evens, odds)))
+
+
+def _bipartite_stack(masks: np.ndarray) -> np.ndarray:
+    """B, as floats, of the cube subgraph on each row of the (F, n) uint64
+    stack `masks`: an (F, E, O) stack whose rows are a family's even
+    members and whose columns are its odd members, each side in the
+    order of its row of `masks` (ascending for sorted rows).  E and O are
+    the stack's largest even and odd sides.  A family's rows and columns
+    past its own sides are zeroed by an explicit mask: at d = 64 every
+    mask value can be a vertex, so none is free to pad with."""
+    odd = np.bitwise_count(masks) & 1 == 1
+    n_odd = odd.sum(axis=1)
+    n_even = masks.shape[1] - n_odd
+    real_even = np.arange(n_even.max()) < n_even[:, None]
+    real_odd = np.arange(n_odd.max()) < n_odd[:, None]
+    evens = np.zeros(real_even.shape, dtype=np.uint64)
+    evens[real_even] = masks[~odd]
+    odds = np.zeros(real_odd.shape, dtype=np.uint64)
+    odds[real_odd] = masks[odd]
+    # an even and an odd mask differ, so they are adjacent exactly when
+    # their XOR has one bit set
+    b = np.bitwise_count(evens[:, :, None] ^ odds[:, None, :]) == 1
+    b &= real_even[:, :, None]
+    b &= real_odd[:, None, :]
+    return b.astype(float)
 
 
 # ---------------------------------------------------------------------------

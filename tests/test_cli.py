@@ -154,6 +154,23 @@ def test_search_out_file_and_budget(tmp_path, capsys):
     assert json.loads(out)["complete"] is False
 
 
+@pytest.mark.parametrize("command", ["lambda1", "bounds"])
+def test_empty_family_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "empty.fam"
+    path.write_text("d=3\n")
+    code, out, err = run_cli([command, "--family", str(path)], capsys)
+    assert code == cli.EXIT_PRECONDITION
+    assert out == "" and err == "error: family is empty\n"
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_search_rejects_a_budget_below_one(capsys, budget):
+    code, out, err = run_cli(
+        ["search", "--n", "6", "--d", "6", "--budget", budget], capsys)
+    assert code == cli.EXIT_PRECONDITION and out == ""
+    assert err == f"error: search budget must be >= 1, got {budget}\n"
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_non_finite_tol_exits_2(tmp_path, capsys, tol):
     path = tmp_path / "seg.fam"

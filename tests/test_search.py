@@ -8,9 +8,9 @@ import pytest
 from conftest import brute_is_compressed, brute_lambda1
 from cubespectra import search
 from cubespectra.compress import is_compressed
-from cubespectra.core import VertexFamily, degree_profile, vertex_of
+from cubespectra.core import VertexFamily, adjacency_lists, vertex_of
 from cubespectra.search import enumerate_compressed, max_lambda1, verify_star_regime
-from cubespectra.spectral import SpectralResult, lambda1
+from cubespectra.spectral import SpectralResult, classic_bounds, lambda1
 
 
 def full_member_scan(s, members):
@@ -281,12 +281,36 @@ def test_screen_certifies_few_families(monkeypatch):
     assert len(calls) < 0.05 * res.search_space_size
 
 
+def test_screen_certifies_as_few_families_as_before(monkeypatch):
+    # The bench's searches, n = 8..28 at d = n - 1, sent 96 families to
+    # `lambda1` with 12 power steps on A + I.
+    calls = []
+
+    def counted(fam, tol):
+        calls.append(fam)
+        return lambda1(fam, tol)
+
+    monkeypatch.setattr(search, "lambda1", counted)
+    for n in range(8, 29):
+        max_lambda1(n, n - 1)
+    assert len(calls) <= 96
+
+
+def even_neighbour_degree_sum(fam):
+    """max over even members v of the sum of deg w over neighbours w of v:
+    the largest row sum of B B^T."""
+    adj = adjacency_lists(fam)
+    return max(sum(len(adj[w]) for w in adj[v])
+               for v in fam.members if v.bit_count() % 2 == 0)
+
+
 @pytest.mark.parametrize("steps", [None, 0, 1, 200])
 def test_screen_bounds_every_lower_end(monkeypatch, steps):
     # The screen's bound reaches the lower end `lambda1` computes on every
-    # family, after the committed number of power steps, after 0 (the
-    # maximum degree) or 1, and after 200, where the ratio meets lambda1
-    # to within rounding and only the screen's round-up keeps it above.
+    # family, after the committed number of steps on B B^T, after 0 (the
+    # square root of B B^T's largest row sum) or 1, and after 200, where
+    # the ratio meets lambda1^2 to within rounding and only the screen's
+    # round-up keeps it above.
     if steps is not None:
         monkeypatch.setattr(search, "SCREEN_STEPS", steps)
     for n in range(1, 17):
@@ -296,4 +320,5 @@ def test_screen_bounds_every_lower_end(monkeypatch, steps):
         for fam, u in zip(fams, bounds):
             assert u >= lambda1(fam).interval()[0], (n, fam.sorted_members())
             if steps == 0:
-                assert 0 <= u - degree_profile(fam).max_degree < 1e-12
+                assert 0 <= u - sqrt(even_neighbour_degree_sum(fam)) < 1e-12
+                assert u <= classic_bounds(fam)["fms"] + 1e-12

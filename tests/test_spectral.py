@@ -218,6 +218,35 @@ def test_shifted_adjacency_is_a_plus_i():
         assert np.array_equal(got, np.stack([w for _, w in stack]))
 
 
+def test_bipartite_stack_is_the_even_by_odd_block_of_a():
+    # Every stack mixes families with different even sides, so rows and
+    # columns are padded; in Q_64 the members hold bits 62 and 63, and no
+    # mask value is free to pad with.
+    rng = random.Random(16)
+    high = [vertex | top for vertex in range(16) for top in (0, 1 << 62,
+                                                              1 << 63, 3 << 62)]
+    stacks = [[[0], [1 << 63], [3 << 62], [1 << 62 | 1]], [[0], [3 << 62]],
+              [[0, 1], [0, 1 << 63], [1 << 62, 3 << 62]]]
+    for n in (2, 3, 7, 30):
+        for pool in (range(2**5), high):
+            stacks.append([sorted(rng.sample(pool, n)) for _ in range(6)])
+    padded = 0
+    for rows in stacks:
+        masks = np.array(rows, dtype=np.uint64)
+        b = spectral._bipartite_stack(masks)
+        even = np.bitwise_count(masks) % 2 == 0
+        assert b.shape == (len(rows), even.sum(axis=1).max(),
+                           (~even).sum(axis=1).max())
+        for f, m in enumerate(masks):
+            a = spectral._shifted_adjacency(m) - np.eye(len(m))
+            want = a[even[f]][:, ~even[f]]
+            e, o = want.shape
+            assert np.array_equal(b[f, :e, :o], want)
+            assert not b[f, e:].any() and not b[f, :, o:].any()
+            padded += b.shape[1:] != (e, o)
+    assert padded >= 20
+
+
 def test_lambda1_with_isolated_odd_vertices():
     # a down-set of Q10 and odd vertices with three or five elements, all
     # holding 7, 8 and 9: at distance >= 2 from each other and >= 3 from
