@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import inf, log, sqrt
 
 import numpy as np
@@ -149,13 +149,16 @@ def _screen(chunk: list[tuple[int, ...]]) -> list[float]:
     n = len(chunk[0])
     if n == 1:
         return [0.0] * len(chunk)
-    b = _bipartite_stack(np.array(chunk, dtype=np.uint64))
-    rows = b.any(axis=2)[:, None, :]    # the even members, as (F, 1, E)
-    x = rows.astype(float)
+    members = np.fromiter(chain.from_iterable(chunk), np.uint64, len(chunk) * n)
+    b = _bipartite_stack(members.reshape(-1, n))
+    # x as (F, 1, E) rows, ones on the padded rows too: B is zero there,
+    # so B^T x reads only the even members, and x is 0 on the padded
+    # rows after a step, as is B B^T x, whose ratio there is taken as 0
+    x = np.ones((len(b), 1, b.shape[1]))
     for _ in range(SCREEN_STEPS):
         x = x @ b @ b.mT
         x /= x.max(axis=2, keepdims=True)
-    ratio = np.divide(x @ b @ b.mT, x, out=np.zeros_like(x), where=rows)
+    ratio = x @ b @ b.mT / np.where(x > 0, x, 1.0)
     # Rounding, in eps = 2**-52, to first order.  The sums of B^T x and
     # B (B^T x) make at most e - 1 and o - 1 additions of nonnegative
     # terms (e + o = n members), the division and the square root one
