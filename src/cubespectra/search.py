@@ -59,8 +59,8 @@ from .spectral import DEFAULT_TOL, _bipartite_stack, lambda1, star_value
 
 # Steps on B B^T before the screen's Collatz-Wielandt ratio: more steps
 # leave fewer families to `lambda1`, and no count, 0 included, alters a
-# result.  4 certify as few families as 12 on A + I did at n = 8..28 and
-# 48; 3 send more to `lambda1` at (n, d) = (56, 10).
+# result.  At n = 8..28 and 48 (d = n - 1) and at (n, d) = (56, 10), 4
+# send no more families to `lambda1` than 6 do; 3 send more at (56, 10).
 SCREEN_STEPS = 4
 
 # Bound on the entries of one (F, E, O) screen stack: F is
@@ -152,13 +152,13 @@ def _screen(chunk: list[tuple[int, ...]]) -> list[float]:
     members = np.fromiter(chain.from_iterable(chunk), np.uint64, len(chunk) * n)
     b = _bipartite_stack(members.reshape(-1, n))
     # x as (F, 1, E) rows, ones on the padded rows too: B is zero there,
-    # so B^T x reads only the even members, and x is 0 on the padded
-    # rows after a step, as is B B^T x, whose ratio there is taken as 0
+    # so B^T x reads only the even members, and x = B B^T x = 0 there
+    # after a step
     x = np.ones((len(b), 1, b.shape[1]))
     for _ in range(SCREEN_STEPS):
         x = x @ b @ b.mT
         x /= x.max(axis=2, keepdims=True)
-    ratio = x @ b @ b.mT / np.where(x > 0, x, 1.0)
+    ratio = x @ b @ b.mT / np.where(x > 0, x, 1.0)   # 0 on padded rows
     # Rounding, in eps = 2**-52, to first order.  The sums of B^T x and
     # B (B^T x) make at most e - 1 and o - 1 additions of nonnegative
     # terms (e + o = n members), the division and the square root one

@@ -15,9 +15,9 @@ Three solvers live here:
   A family without edges gets the interval [0, 0] exactly, at any size.
   Up to 64 vertices A + I is dense, built from the member masks by an
   XOR test (`_shifted_adjacency`).  Above that the iteration starts
-  from a Lanczos Ritz vector (method "lanczos"), which
-  leaves it a handful of steps instead of a few hundred; the certificate
-  does not depend on the start.  That path uses the bipartition into
+  from a Lanczos Ritz vector (method "lanczos"), which leaves it a
+  handful of steps instead of a few hundred; the certificate does not
+  depend on the start.  That path uses the bipartition into
   even and odd sets: A = [[0, B], [B^T, 0]], lambda1 is the top
   singular value of B, and Lanczos runs on B B^T over the even side
   (the Golub-Kahan route), with vectors of about half the length and

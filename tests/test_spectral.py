@@ -223,8 +223,8 @@ def test_bipartite_stack_is_the_even_by_odd_block_of_a():
     # columns are padded; in Q_64 the members hold bits 62 and 63, and no
     # mask value is free to pad with.
     rng = random.Random(16)
-    high = [vertex | top for vertex in range(16) for top in (0, 1 << 62,
-                                                              1 << 63, 3 << 62)]
+    high = [low | top for low in range(16)
+            for top in (0, 1 << 62, 1 << 63, 3 << 62)]
     stacks = [[[0], [1 << 63], [3 << 62], [1 << 62 | 1]], [[0], [3 << 62]],
               [[0, 1], [0, 1 << 63], [1 << 62, 3 << 62]]]
     for n in (2, 3, 7, 30):
