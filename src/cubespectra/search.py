@@ -27,14 +27,14 @@ A = [[0, B], [B^T, 0]] with the even members as B's rows, and lambda1^2
 is the top eigenvalue of B B^T.  `_screen` gives each family an upper
 bound u: the square root of the Collatz-Wielandt ratio
 max_v (B B^T x)_v / x_v over the even members, at the positive x reached
-by SCREEN_STEPS batched steps x <- B B^T x, rounded up by a relative
-1 + (4n + 8) eps.  `lambda1` then certifies families in order of
-decreasing u, and stops at the first family with u + tol below the
-best lo and u below the lowest reported lo.  The stop
-is exact: no lo that `lambda1` computes exceeds u, and a converged hi is
-at most lo + tol.  No family left uncertified can therefore be a
-maximizer or a runner-up, and the result is the one that certifying
-every family gives.
+by SCREEN_STEPS batched steps x <- B B^T x, rounded up past lambda1 by
+a relative 1 + (n + 3) eps/2.  `lambda1` then certifies families in
+order of decreasing u, and stops at the first family with u + tol below
+the best lo and u below the lowest reported lo.  The stop is exact: a lo
+that `lambda1` computes never exceeds lambda1, so never exceeds u, and a
+converged hi is at most lo + tol.  No family left uncertified can
+therefore be a maximizer or a runner-up, and the result is the one that
+certifying every family gives.
 
 The partition machinery decomposes a compressed family into blocks of
 small internal degree plus disjoint star-ball neighbourhoods around
@@ -136,8 +136,8 @@ class SearchResult:
 
 def _screen(chunk: list[tuple[int, ...]]) -> list[float]:
     """Each family's Collatz-Wielandt bound on lambda1, rounded up past
-    every lower end `lambda1` computes; `chunk` holds the sorted members
-    of compressed families, all of one size n.
+    lambda1; `chunk` holds the sorted members of compressed families, all
+    of one size n.
 
     lambda1^2 is the top eigenvalue of B B^T on the even side
     (`_bipartite_stack`), and max_v (B B^T x)_v / x_v bounds it for any
@@ -161,15 +161,12 @@ def _screen(chunk: list[tuple[int, ...]]) -> list[float]:
     ratio = x @ b @ b.mT / np.where(x > 0, x, 1.0)   # 0 on padded rows
     # Rounding, in eps = 2**-52, to first order.  The sums of B^T x and
     # B (B^T x) make at most e - 1 and o - 1 additions of nonnegative
-    # terms (e + o = n members), the division and the square root one
-    # rounding each: sqrt(ratio) >= lambda1 (1 - (n + 3) eps/4).
-    # `lambda1`'s Rayleigh quotient is at most (lambda1 + 1)(1 + (3n/2 + 2)
-    # eps): row sums and products n/2 each, |x|^2 <= 1 + (n/2 + 2) eps.
-    # As lambda1 >= 1 for n >= 2, its lower end is at most
-    # lambda1 (1 + (3n + 4) eps), plus eps/2 for the subtraction of 1.
-    # With eps/2 for the product below, these add up to (13n + 23) eps/4,
-    # and 1 + (4n + 8) eps leaves (3n + 9) eps/4 for second-order terms.
-    round_up = 1 + (4 * n + 8) * np.finfo(float).eps
+    # terms (e + o = n members), and the division one rounding, so each
+    # ratio is within (n - 1) eps/2 of exact.  The square root halves
+    # that and rounds once: sqrt(ratio) >= lambda1 (1 - (n + 1) eps/4).
+    # With eps/2 for the product below, that is (n + 3) eps/4, and
+    # 1 + (n + 3) eps/2 leaves as much again for second-order terms.
+    round_up = 1 + (n + 3) * np.finfo(float).eps / 2
     return (np.sqrt(ratio.max(axis=(1, 2))) * round_up).tolist()
 
 
@@ -197,10 +194,10 @@ def max_lambda1(n: int, d: int, tol: float = DEFAULT_TOL, top_k: int = 3,
     `top_k` non-maximizers with their lo.  `lambda1` certifies families
     in order of decreasing screen bound u (`_screen`: the square root of
     a Collatz-Wielandt bound on B B^T over the even members, rounded up
-    past every lo `lambda1` computes) until u + tol falls below the best
-    lo and u below the lowest reported lo, so the result is the one that
-    certifying every family would give.  A budget `max_families` stops
-    the enumeration after that many families (at least 1).
+    past lambda1) until u + tol falls below the best lo and u below the
+    lowest reported lo, so the result is the one that certifying every
+    family would give.  A budget `max_families` stops the enumeration
+    after that many families (at least 1).
     """
     if n > 2**d:
         raise ValueError(f"no family of size {n} fits in Q_{d}")

@@ -2,27 +2,21 @@
 
 Three solvers live here:
 
-* `lambda1` -- shifted power iteration on the induced adjacency matrix.
-  Cube subgraphs are bipartite, so plain power iteration oscillates with
-  period 2; iterating on A + I and subtracting 1 keeps the Perron vector
-  and restores dominance.  The returned interval is certified: the
-  Rayleigh quotient bounds the top eigenvalue from below, and the
-  Collatz-Wielandt ratio max_u (Bx)_u / x_u (valid for any strictly
-  positive x and nonnegative B) bounds it from above.  The iteration
-  stops on that gap: as soon as it is at most `tol`, or after
-  MAX_POWER_ITERATIONS.  The gap, floored at one unit of rounding, is
-  the reported `error_bound`, and `converged` means `error_bound <= tol`.
-  A family without edges gets the interval [0, 0] exactly, at any size.
-  Up to 64 vertices A + I is dense, built from the member masks by an
-  XOR test (`_shifted_adjacency`).  Above that the iteration starts
+* `lambda1` -- power iteration on M = B B^T over the even side.  Q_d is
+  bipartite between the sets of even and odd size, so with the even
+  members first A = [[0, B], [B^T, 0]], and lambda1^2 is the top
+  eigenvalue of M (the Golub-Kahan route, on vectors of about half the
+  length).  For positive x the Rayleigh quotient bounds lambda1(M) from
+  below and the Collatz-Wielandt ratio max_v (Mx)_v / x_v from above;
+  their square roots, rounded outward by a margin derived from the sums
+  the code performs, are a certified interval in floating point, and
+  the iteration stops on its width.  Up to 64 vertices M is dense,
+  formed by an XOR test on the member masks (`_bipartite_stack`, which
+  `search`'s screen stacks for many families at once).  Above that M is
+  applied through the sparse blocks B and B^T, and the iteration starts
   from a Lanczos Ritz vector (method "lanczos"), which leaves it a
   handful of steps instead of a few hundred; the certificate does not
-  depend on the start.  That path uses the bipartition into
-  even and odd sets: A = [[0, B], [B^T, 0]], lambda1 is the top
-  singular value of B, and Lanczos runs on B B^T over the even side
-  (the Golub-Kahan route), with vectors of about half the length and
-  half the Krylov degree of a run on A.  `search`'s screen takes the same
-  route with dense stacks of B, one per family (`_bipartite_stack`).
+  depend on the start.
 
 * `hamming_lambda1_exact` -- the Hamming ball's Perron vector is uniform
   on each level, which collapses the eigenproblem to an (i+1)x(i+1)
@@ -71,97 +65,106 @@ class SpectralResult:
 
 def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
     """Largest adjacency eigenvalue of the induced subgraph, by power
-    iteration on A + I.
+    iteration on M = B B^T over the even side (see the module docstring).
 
-    Each iteration brackets lambda1 between the Rayleigh quotient and the
-    Collatz-Wielandt bound, and the iteration stops as soon as that gap is
-    at most `tol`, or after MAX_POWER_ITERATIONS.  The gap, never less
-    than one ulp of the quotient, is the returned `error_bound`, so
-    `converged` is exactly `error_bound <= tol`, and a `tol` below
-    rounding is never met.
+    Each step brackets lambda1 between the square roots of M's Rayleigh
+    quotient and Collatz-Wielandt bound, rounded outward, and the
+    iteration stops as soon as that gap is at most `tol`, as soon as
+    `tol` is below the gap an exact eigenvector would leave at the
+    current quotient, or after MAX_POWER_ITERATIONS.  The gap is the
+    returned `error_bound`, so `converged` is exactly `error_bound <= tol`.
 
-    Up to 64 vertices the iteration starts from the uniform vector on a
-    dense A + I built from the member masks (`_shifted_adjacency`; method
-    "power", "dense-small" for one vertex).  Above that (method "lanczos")
-    the vertices are ordered even side first, A is held as its blocks B
-    and B^T (see `_bipartite_blocks`), and the iteration starts from
-    x = (u, B^T u / ||B^T u||) / sqrt(2), where u is the top Ritz vector
-    of a Lanczos run on B B^T (see `_lanczos_start`); that leaves a
-    handful of certifying steps.  On either path a family without edges
-    gets lambda1 = 0 and error_bound = 0 exactly, with the uniform
-    eigenvector.  The bracket is certified whatever the start, and
-    `iterations` counts the certifying power steps.  The eigenvector's
-    weight dict is built when first read."""
+    Up to 64 vertices M is dense and the iteration starts from the
+    uniform vector (method "power", "dense-small" for one vertex).  Above
+    that M is applied through the sparse B and B^T (`_bipartite_blocks`)
+    from the top Ritz vector of a Lanczos run on M (`_lanczos_start`;
+    method "lanczos").  A family without edges gets [0, 0] exactly, with
+    the uniform eigenvector.  `iterations` counts the certifying power
+    steps.  The eigenvector is (x, B^T x / ||B^T x||) / sqrt(2) for the
+    last iterate x; its weight dict is built when first read."""
     if len(fam) == 0:
         raise ValueError("family is empty")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     n = len(fam)
-    uniform = np.full(n, 1.0 / sqrt(n))
 
-    # Sums run in numpy's own order, not a BLAS kernel's, so the bits of
-    # the result do not depend on which kernel the CPU selects.
+    # M x, B^T x, M's row sums and K, the most roundings in an entry of
+    # M x.  Sums run in numpy's or scipy's order, not a BLAS kernel's, so
+    # the bits of the result do not depend on the kernel the CPU selects.
     if n <= 64:
         masks = np.array(sorted(fam.members), dtype=np.uint64)
-        mat = _shifted_adjacency(masks)
+        b = _bipartite_stack(masks[None])[0]
+        mat = b @ b.T   # small integers: exact on every kernel
         matvec = lambda v: np.add.reduce(mat * v, axis=1)
-        start = lambda: uniform
+        lift = lambda v: np.add.reduce(b * v[:, None], axis=0)
         row_sums = np.add.reduce(mat, axis=1)
+        half = len(mat)
+        start = lambda: np.full(half, 1.0 / sqrt(half))
+        roundings = half   # a product and half - 1 additions
+        odd = np.bitwise_count(masks) & 1 == 1
+        masks = np.concatenate((masks[~odd], masks[odd]))
         method = "power" if n > 1 else "dense-small"
     else:
         g = cube_graph(fam)
         b, bt, order = _bipartite_blocks(g)
+        matvec = lambda v: b.dot(bt.dot(v))
+        lift = bt.dot
+        odd_degrees = np.diff(bt.indptr)
+        row_sums = b.dot(odd_degrees.astype(float))   # sum of deg w, w ~ v
         half = b.shape[0]
-        # (A + I)v in the even-first order; each row sum has the bits of
-        # the CSR product of A, whose rows hold the same neighbours in the
-        # same order
-        matvec = lambda v: np.concatenate((b.dot(v[half:]) + v[:half],
-                                           bt.dot(v[:half]) + v[half:]))
-        def start():
-            u = _lanczos_start(lambda u: b.dot(bt.dot(u)), half)
-            v = bt.dot(u)
-            return np.concatenate((u, v / sqrt(np.add.reduce(v * v)))) / sqrt(2.0)
+        start = lambda: _lanczos_start(matvec, half)
+        # products with 1.0 are exact: deg w - 1, then deg v - 1 additions
+        roundings = int(np.diff(b.indptr).max(initial=0)
+                        + odd_degrees.max(initial=0)) - 2
         masks = g.vertices[order]
-        row_sums = 1.0 + np.concatenate((np.diff(b.indptr), np.diff(bt.indptr)))
         method = "lanczos"
 
-    # The Collatz-Wielandt ratio bounds rho(A + I) for positive x.  On a
+    # The Collatz-Wielandt ratio bounds lambda1(M) for positive x.  On a
     # component far below the dominant one x underflows to 0.0: a vertex
-    # with x_u = 0 < y_u has an infinite ratio, capped by rho <= the
-    # largest row sum of A + I, and an all-zero component takes its row
-    # sums instead.  A cap of 1 means A = 0, so lambda1 = 0 exactly.
-    cap = float(row_sums.max())
-    if cap == 1.0:
-        vec = _ArrayWeightVector(fam.d, masks, uniform)
+    # with x_v = 0 < y_v has an infinite ratio, capped by lambda1(M) <=
+    # M's largest row sum, and an all-zero component takes its row sums
+    # instead.  A cap of 0 means B = 0, so lambda1 = 0 exactly.
+    cap = float(row_sums.max(initial=0.0))
+    if cap == 0.0:
+        vec = _ArrayWeightVector(fam.d, masks, np.full(n, 1.0 / sqrt(n)))
         return SpectralResult(0.0, 0.0, vec, 0, method)
-    x = start()
 
+    # Rounding, in units u = 2**-53, with gamma_k = k u / (1 - k u)
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    # sections 3.1 and 4.2).  Every term is nonnegative, so a sum of m
+    # terms in any order has relative error at most gamma_{m-1}, and each
+    # entry of y = M x is within gamma_K of exact.  fsum rounds once, as
+    # do each product x_v y_v or x_v^2 and the division, so rho is within
+    # gamma_{K+5} of the Rayleigh quotient of the stored x; each y_v / x_v
+    # is within gamma_{K+1} of the exact ratio, and the row sums are exact.
+    # The square root halves these errors, and it and the product with
+    # 1 -/+ slack round once each, so to first order lo needs the factor
+    # 1 - (K + 9) u/2 and hi the factor 1 + (K + 5) u/2.  slack = (K + 10) u
+    # leaves at least (K + 11) u/2 for the second-order terms and for the
+    # rounding of hi - lo and of lo + error_bound.  An exact eigenvector
+    # would leave the gap 2 slack sqrt(rho); a smaller tol is met only
+    # where rounding puts the ratio below rho, so the loop stops there.
+    slack = (roundings + 10) * 2.0**-53
+    x = start()
     iterations = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             y = matvec(x)
-            rho = float(np.add.reduce(x * y))   # Rayleigh quotient, |x| = 1
-            ratios = y / x             # nan where x_u = y_u = 0
+            rho = math.fsum((x * y).tolist()) / math.fsum((x * x).tolist())
+            ratios = y / x             # nan where x_v = y_v = 0
             upper = float(np.where(np.isnan(ratios), row_sums, ratios).max())
-            # rounding can put the ratio below rho; the gap is never
-            # reported under one ulp of rho, so a tol below that is unmet
-            error = max(min(upper, cap) - rho, float(np.spacing(rho)))
-            if error <= tol or iterations == MAX_POWER_ITERATIONS:
+            lo = sqrt(rho) * (1.0 - slack)
+            error = sqrt(min(upper, cap)) * (1.0 + slack) - lo
+            if (error <= tol or tol < 2.0 * slack * lo
+                    or iterations == MAX_POWER_ITERATIONS):
                 break
             x = y / sqrt(np.add.reduce(y * y))
             iterations += 1
 
-    vec = _ArrayWeightVector(fam.d, masks, x)
-    return SpectralResult(rho - 1.0, error, vec, iterations, method,
-                          error <= tol)
-
-
-def _shifted_adjacency(masks: np.ndarray) -> np.ndarray:
-    """A + I, as floats, of the cube subgraph on each row of the uint64
-    `masks` ((n,) or an (F, n) stack): two masks are equal or adjacent
-    exactly when their XOR has at most one bit set."""
-    diff = masks[..., :, None] ^ masks[..., None, :]
-    return ((diff & (diff - np.uint64(1))) == 0).astype(float)
+    v = lift(x)
+    values = np.concatenate((x, v / sqrt(np.add.reduce(v * v)))) / sqrt(2.0)
+    vec = _ArrayWeightVector(fam.d, masks, values)
+    return SpectralResult(lo, error, vec, iterations, method, error <= tol)
 
 
 class _ArrayWeightVector(WeightVector):

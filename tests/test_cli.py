@@ -184,6 +184,24 @@ def test_non_finite_tol_exits_2(tmp_path, capsys, tol):
         assert time.perf_counter() - start < 3.0
 
 
+def test_tol_below_rounding_returns_at_once(tmp_path):
+    # No interval is narrower than its rounding, so such a tol is never
+    # met; each solve reports that at once instead of taking 10^6 steps
+    # (20 s on four vertices, and longer per family in a search).
+    calls = []
+    for fam in (initial_segment(4, 2), initial_segment(100, 8)):
+        path = tmp_path / f"seg{len(fam)}.fam"
+        path.write_text(format_family(fam))
+        calls.append(["lambda1", "--family", str(path), "--tol", "1e-300"])
+    calls.append(["search", "--n", "5", "--d", "3", "--tol", "1e-300"])
+    for argv in calls:
+        proc = _python(["-m", "cubespectra", *argv], tmp_path, timeout=20)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        if argv[0] == "lambda1":
+            record = json.loads(proc.stdout)
+            assert record["diagnostics"]["converged"] is False
+
+
 def test_search_rejects_negative_top(capsys):
     code, out, err = run_cli(
         ["search", "--n", "12", "--d", "11", "--top", "-5"], capsys)
@@ -254,11 +272,11 @@ print(json.dumps(runs))
 """
 
 
-def _python(args, cwd):
+def _python(args, cwd, timeout=120):
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_calls_after_a_failing_call_match_fresh_processes(tmp_path):

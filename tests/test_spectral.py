@@ -10,6 +10,7 @@ import warnings
 from math import isclose, sqrt
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -22,6 +23,7 @@ from cubespectra.core import (
     hamming_ball,
     initial_segment,
     star_family,
+    vertex_of,
     write_family,
 )
 from cubespectra.spectral import (
@@ -79,24 +81,81 @@ def test_lambda1_bound_survives_underflow():
 
 
 def test_lambda1_nonconvergence_is_flagged(monkeypatch):
+    # from the uniform vector one step on B B^T reaches ball(6, 2)'s
+    # Perron vector, but ball(6, 3)'s takes more than 3
     monkeypatch.setattr(spectral, "MAX_POWER_ITERATIONS", 3)
-    res = lambda1(hamming_ball(6, 2), tol=1e-12)
+    res = lambda1(hamming_ball(6, 3), tol=1e-12)
     assert not res.converged
     # the bracket is still certified
-    assert res.lambda1 <= 4.0 <= res.lambda1 + res.error_bound
+    truth = hamming_lambda1_exact(6, 3).lambda1
+    assert res.lambda1 <= truth <= res.lambda1 + res.error_bound
 
 
 def test_lambda1_tol_below_rounding_is_not_met(monkeypatch):
     # the uniform start is Q_3's Perron vector, so the exact gap is 0; the
-    # first 100 vertices of Q_8 reach the one-ulp floor a few power steps
-    # after their Lanczos start
+    # first 100 vertices of Q_8 reach the rounding floor at their Lanczos
+    # start.  A tol below the floor stops the loop at once.
     monkeypatch.setattr(spectral, "MAX_POWER_ITERATIONS", 300)
     for fam in (initial_segment(8, 3), initial_segment(100, 8)):
         res = lambda1(fam)
         assert res.converged and 0.0 < res.error_bound <= DEFAULT_TOL
         res = lambda1(fam, tol=1e-300)
-        assert not res.converged and res.iterations == 300
+        assert not res.converged and res.iterations == 0
         assert res.error_bound >= np.spacing(res.lambda1 + 1.0)
+
+
+def _mp_top_eigenvalue(rows):
+    """The top eigenvalue of a symmetric matrix at 40 digits."""
+    with mpmath.workdps(40):
+        return max(mpmath.eigsy(mpmath.matrix(rows), eigvals_only=True))
+
+
+def _mp_ball_lambda1(d, r):
+    """lambda1 of ball(d, r) from its symmetric level quotient: the
+    tridiagonal with off-diagonals sqrt(j (d - j + 1)), j = 1..r."""
+    with mpmath.workdps(40):
+        rows = [[mpmath.mpf(0)] * (r + 1) for _ in range(r + 1)]
+        for j in range(1, r + 1):
+            rows[j - 1][j] = rows[j][j - 1] = mpmath.sqrt(j * (d - j + 1))
+        return _mp_top_eigenvalue(rows)
+
+
+def _search_table_winners():
+    path = Path(__file__).resolve().parent.parent / "goldens" / "search_table.tsv"
+    for line in path.read_text().splitlines()[1:]:
+        d, winner = line.split("\t")[1], line.split("\t")[4]
+        members = frozenset(vertex_of(int(e) for e in s.strip("{}").split(",") if e)
+                            for s in winner.split(";"))
+        yield VertexFamily(int(d), members)
+
+
+def _mp_lambda1(fam):
+    """lambda1 of a small family from its adjacency matrix at 40 digits."""
+    ms = fam.sorted_members()
+    rows = [[0] * len(ms) for _ in ms]
+    for u, v in brute_edges(ms, fam.d):
+        rows[ms.index(u)][ms.index(v)] = rows[ms.index(v)][ms.index(u)] = 1
+    return _mp_top_eigenvalue(rows)
+
+
+def test_lambda1_interval_holds_the_exact_value():
+    # lo <= lambda1 <= lo + error_bound, in floating point and with no
+    # slack, on both paths: Q_k has lambda1 = k and the m-leaf star sqrt(m)
+    cases = [(initial_segment(2**k, k), mpmath.mpf(k)) for k in range(1, 9)]
+    cases += [(star_family(64, m), mpmath.sqrt(m)) for m in range(65)]
+    cases += [(hamming_ball(d, r), _mp_ball_lambda1(d, r))
+              for d, r in ((7, 3), (10, 2), (11, 2), (9, 3), (12, 4))]
+    winners = list(_search_table_winners())
+    assert len(winners) == 11
+    cases += [(fam, _mp_lambda1(fam)) for fam in winners]
+    methods = set()
+    for fam, truth in cases:
+        res = lambda1(fam)
+        lo, hi = res.interval()
+        assert res.converged
+        assert mpmath.mpf(lo) <= truth <= mpmath.mpf(hi), fam.sorted_members()
+        methods.add(res.method)
+    assert methods == {"dense-small", "power", "lanczos"}
 
 
 def test_lambda1_eigenvector_properties():
@@ -200,24 +259,6 @@ def test_dense_lambda1_builds_no_cube_graph(monkeypatch):
         assert abs(res.lambda1 - brute_lambda1(fam.members, fam.d)) < 1e-9
 
 
-def test_shifted_adjacency_is_a_plus_i():
-    rng = random.Random(15)
-    for n in (1, 2, 7, 30):
-        stack = []
-        for _ in range(4):
-            d = rng.randint(max(1, (n - 1).bit_length()), 12)
-            members = sorted(rng.sample(range(2**d), n))
-            want = np.eye(n)
-            for u, v in brute_edges(members, d):
-                want[members.index(u), members.index(v)] = 1.0
-                want[members.index(v), members.index(u)] = 1.0
-            masks = np.array(members, dtype=np.uint64)
-            assert np.array_equal(spectral._shifted_adjacency(masks), want)
-            stack.append((masks, want))
-        got = spectral._shifted_adjacency(np.stack([m for m, _ in stack]))
-        assert np.array_equal(got, np.stack([w for _, w in stack]))
-
-
 def test_bipartite_stack_is_the_even_by_odd_block_of_a():
     # Every stack mixes families with different even sides, so rows and
     # columns are padded; in Q_64 the members hold bits 62 and 63, and no
@@ -237,9 +278,14 @@ def test_bipartite_stack_is_the_even_by_odd_block_of_a():
         even = np.bitwise_count(masks) % 2 == 0
         assert b.shape == (len(rows), even.sum(axis=1).max(),
                            (~even).sum(axis=1).max())
-        for f, m in enumerate(masks):
-            a = spectral._shifted_adjacency(m) - np.eye(len(m))
-            want = a[even[f]][:, ~even[f]]
+        for f, members in enumerate(rows):
+            evens = [v for v in members if v.bit_count() % 2 == 0]
+            odds = [v for v in members if v.bit_count() % 2 == 1]
+            want = np.zeros((len(evens), len(odds)))
+            for u, v in brute_edges(members, 64):
+                if u in odds:
+                    u, v = v, u
+                want[evens.index(u), odds.index(v)] = 1.0
             e, o = want.shape
             assert np.array_equal(b[f, :e, :o], want)
             assert not b[f, e:].any() and not b[f, :, o:].any()
