@@ -29,12 +29,12 @@ bound u: the square root of the Collatz-Wielandt ratio
 max_v (B B^T x)_v / x_v over the even members, at the positive x reached
 by SCREEN_STEPS batched steps x <- B B^T x, rounded up past lambda1 by
 a relative 1 + (n + 3) eps/2.  `lambda1` then certifies families in
-order of decreasing u, and stops at the first family with u + tol below
-the best lo and u below the lowest reported lo.  The stop is exact: a lo
-that `lambda1` computes never exceeds lambda1, so never exceeds u, and a
-converged hi is at most lo + tol.  No family left uncertified can
-therefore be a maximizer or a runner-up, and the result is the one that
-certifying every family gives.
+order of decreasing u, and stops at the first family with u + w below
+the best lo and u below the lowest reported lo, w = max(tol, `lambda1`'s
+rounding floor at u).  The stop is exact: no lo exceeds lambda1, so none
+exceeds u, and `lambda1` returns a hi of at most lo + w unless it reaches
+its step cap.  No family left uncertified can therefore be a maximizer or
+a runner-up: the result is the one that certifying every family gives.
 
 The partition machinery decomposes a compressed family into blocks of
 small internal degree plus disjoint star-ball neighbourhoods around
@@ -150,7 +150,7 @@ def _screen(chunk: list[tuple[int, ...]]) -> list[float]:
     if n == 1:
         return [0.0] * len(chunk)
     members = np.fromiter(chain.from_iterable(chunk), np.uint64, len(chunk) * n)
-    b = _bipartite_stack(members.reshape(-1, n))
+    b = _bipartite_stack(members.reshape(-1, n))[0]
     # x as (F, 1, E) rows, ones on the padded rows too: B is zero there,
     # so B^T x reads only the even members, and x = B B^T x = 0 there
     # after a step
@@ -194,10 +194,10 @@ def max_lambda1(n: int, d: int, tol: float = DEFAULT_TOL, top_k: int = 3,
     `top_k` non-maximizers with their lo.  `lambda1` certifies families
     in order of decreasing screen bound u (`_screen`: the square root of
     a Collatz-Wielandt bound on B B^T over the even members, rounded up
-    past lambda1) until u + tol falls below the best lo and u below the
-    lowest reported lo, so the result is the one that certifying every
-    family would give.  A budget `max_families` stops the enumeration
-    after that many families (at least 1).
+    past lambda1) until u + max(`tol`, rounding floor) falls below the
+    best lo and u below the lowest reported lo, so the result is the one
+    that certifying every family would give.  A budget `max_families`
+    stops the enumeration after that many families (at least 1).
     """
     if n > 2**d:
         raise ValueError(f"no family of size {n} fits in Q_{d}")
@@ -221,12 +221,15 @@ def max_lambda1(n: int, d: int, tol: float = DEFAULT_TOL, top_k: int = 3,
     def by_rank(row):   # lower end descending, then members
         return -row[0], row[2]
 
+    # lambda1's gap is at most max(tol, 4 (K + 10) 2**-53 lo), K < 2n, lo <= u
+    rounding = (8 * n + 40) * 2.0**-53
     ranked: list[tuple[float, float, tuple[int, ...]]] = []   # (lo, hi, ms)
     for u, ms in sorted(zip(bounds, families), key=lambda p: (-p[0], p[1])):
         if ranked:
             maxima, runners = _split(ranked, top_k)
             floor = min(lo for lo, _, _ in maxima + runners)
-            if len(runners) == top_k and u + tol < ranked[0][0] and u < floor:
+            w = max(tol, rounding * u)
+            if len(runners) == top_k and u + w < ranked[0][0] and u < floor:
                 break
         fam = VertexFamily(cap_dim, frozenset(ms))
         insort(ranked, (*lambda1(fam, tol).interval(), ms), key=by_rank)

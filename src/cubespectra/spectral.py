@@ -69,10 +69,10 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
 
     Each step brackets lambda1 between the square roots of M's Rayleigh
     quotient and Collatz-Wielandt bound, rounded outward, and the
-    iteration stops as soon as that gap is at most `tol`, as soon as
-    `tol` is below the gap an exact eigenvector would leave at the
-    current quotient, or after MAX_POWER_ITERATIONS.  The gap is the
-    returned `error_bound`, so `converged` is exactly `error_bound <= tol`.
+    iteration stops once that gap is at most `tol` or the rounding floor
+    4 (K + 10) 2**-53 lo (K < 2n, see below), or after MAX_POWER_ITERATIONS.
+    The gap is the returned `error_bound`, so `converged` is exactly
+    `error_bound <= tol`; a `tol` below the floor is met only by chance.
 
     Up to 64 vertices M is dense and the iteration starts from the
     uniform vector (method "power", "dense-small" for one vertex).  Above
@@ -92,8 +92,9 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
     # M x.  Sums run in numpy's or scipy's order, not a BLAS kernel's, so
     # the bits of the result do not depend on the kernel the CPU selects.
     if n <= 64:
-        masks = np.array(sorted(fam.members), dtype=np.uint64)
-        b = _bipartite_stack(masks[None])[0]
+        stack, evens, odds = _bipartite_stack(
+            np.array(sorted(fam.members), dtype=np.uint64)[None])
+        b, masks = stack[0], np.concatenate((evens[0], odds[0]))
         mat = b @ b.T   # small integers: exact on every kernel
         matvec = lambda v: np.add.reduce(mat * v, axis=1)
         lift = lambda v: np.add.reduce(b * v[:, None], axis=0)
@@ -101,8 +102,6 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
         half = len(mat)
         start = lambda: np.full(half, 1.0 / sqrt(half))
         roundings = half   # a product and half - 1 additions
-        odd = np.bitwise_count(masks) & 1 == 1
-        masks = np.concatenate((masks[~odd], masks[odd]))
         method = "power" if n > 1 else "dense-small"
     else:
         g = cube_graph(fam)
@@ -142,8 +141,8 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
     # 1 - (K + 9) u/2 and hi the factor 1 + (K + 5) u/2.  slack = (K + 10) u
     # leaves at least (K + 11) u/2 for the second-order terms and for the
     # rounding of hi - lo and of lo + error_bound.  An exact eigenvector
-    # would leave the gap 2 slack sqrt(rho); a smaller tol is met only
-    # where rounding puts the ratio below rho, so the loop stops there.
+    # would leave the gap 2 slack sqrt(rho), and an iterate converged as far
+    # as rounding allows about 3 slack lo, so the loop stops at 4 slack lo.
     slack = (roundings + 10) * 2.0**-53
     x = start()
     iterations = 0
@@ -155,7 +154,7 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
             upper = float(np.where(np.isnan(ratios), row_sums, ratios).max())
             lo = sqrt(rho) * (1.0 - slack)
             error = sqrt(min(upper, cap)) * (1.0 + slack) - lo
-            if (error <= tol or tol < 2.0 * slack * lo
+            if (error <= max(tol, 4.0 * slack * lo)
                     or iterations == MAX_POWER_ITERATIONS):
                 break
             x = y / sqrt(np.add.reduce(y * y))
@@ -213,14 +212,14 @@ def _bipartite_blocks(g: CubeGraph):
             np.concatenate((evens, odds)))
 
 
-def _bipartite_stack(masks: np.ndarray) -> np.ndarray:
+def _bipartite_stack(masks: np.ndarray):
     """B, as floats, of the cube subgraph on each row of the (F, n) uint64
-    stack `masks`: an (F, E, O) stack whose rows are a family's even
-    members and whose columns are its odd members, each side in the
-    order of its row of `masks` (ascending for sorted rows).  E and O are
-    the stack's largest even and odd sides.  A family's rows and columns
-    past its own sides are zeroed by an explicit mask: at d = 64 every
-    mask value can be a vertex, so none is free to pad with."""
+    stack `masks`, with the (F, E) even and (F, O) odd masks that order
+    B's rows and columns, each side in the order of its row of `masks`.
+    E and O are the stack's largest even and odd sides.  A family's rows
+    and columns past its own sides are zeroed by an explicit mask (its
+    masks there are 0): at d = 64 every mask value can be a vertex, so
+    none is free to pad with."""
     odd = np.bitwise_count(masks) & 1 == 1
     n_odd = odd.sum(axis=1)
     n_even = masks.shape[1] - n_odd
@@ -235,7 +234,7 @@ def _bipartite_stack(masks: np.ndarray) -> np.ndarray:
     b = np.bitwise_count(evens[:, :, None] ^ odds[:, None, :]) == 1
     b &= real_even[:, :, None]
     b &= real_odd[:, None, :]
-    return b.astype(float)
+    return b.astype(float), evens, odds
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +281,7 @@ def _lanczos_start(matvec, n: int) -> np.ndarray:
     is summed from them.  T_k is solved by Sturm bisection and inverse
     iteration, without BLAS, so the start has the same bits on every
     kernel."""
-    alphas: list[float] = []
-    betas: list[float] = []
-    basis: list[np.ndarray] = []
+    alphas, betas, basis = [], [], []
     for q, alpha, beta in _lanczos_steps(matvec, n):
         basis.append(q)
         alphas.append(alpha)

@@ -223,6 +223,22 @@ def test_screened_search_matches_certify_all_with_ties():
     assert tied >= 4
 
 
+def test_screened_search_matches_certify_all_below_rounding():
+    # No interval converges at tol = 1e-300: each one stops at lambda1's
+    # rounding floor, which the screen's stop test must allow for, and
+    # which is at most (8n + 40) 2**-53 u.
+    for n in range(2, 16):
+        families = list(enumerate_compressed(n, n - 1))
+        for u, ms in zip(search._screen(families), families):
+            res = lambda1(VertexFamily(n - 1, frozenset(ms)), tol=1e-300)
+            assert not res.converged
+            assert res.error_bound <= (8 * n + 40) * 2.0**-53 * u
+        for top_k in (0, 3):
+            expected = certify_all(n, n - 1, tol=1e-300, top_k=top_k)
+            got = max_lambda1(n, n - 1, tol=1e-300, top_k=top_k)
+            assert result_fields(got) == result_fields(expected), (n, top_k)
+
+
 def test_families_with_equal_lambda1_tie():
     # Lower ends that agree to 1e-12 come from equal eigenvalues; their
     # intervals must overlap, or rounding would split a tie.

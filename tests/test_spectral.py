@@ -10,7 +10,6 @@ import warnings
 from math import isclose, sqrt
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -94,18 +93,24 @@ def test_lambda1_nonconvergence_is_flagged(monkeypatch):
 def test_lambda1_tol_below_rounding_is_not_met(monkeypatch):
     # the uniform start is Q_3's Perron vector, so the exact gap is 0; the
     # first 100 vertices of Q_8 reach the rounding floor at their Lanczos
-    # start.  A tol below the floor stops the loop at once.
+    # start; ball(6, 3) takes some steps from the uniform vector.  A tol
+    # below the floor stops the loop once the gap is within the floor,
+    # 4 (K + 10) 2**-53 lo with K < 2n, long before the step cap.
     monkeypatch.setattr(spectral, "MAX_POWER_ITERATIONS", 300)
-    for fam in (initial_segment(8, 3), initial_segment(100, 8)):
+    for fam in (initial_segment(8, 3), initial_segment(100, 8),
+                hamming_ball(6, 3)):
         res = lambda1(fam)
         assert res.converged and 0.0 < res.error_bound <= DEFAULT_TOL
+        first = res.iterations
         res = lambda1(fam, tol=1e-300)
-        assert not res.converged and res.iterations == 0
+        assert not res.converged and res.iterations <= first + 10
         assert res.error_bound >= np.spacing(res.lambda1 + 1.0)
+        assert res.error_bound <= (8 * len(fam) + 40) * 2.0**-53 * res.lambda1
 
 
 def _mp_top_eigenvalue(rows):
     """The top eigenvalue of a symmetric matrix at 40 digits."""
+    import mpmath   # a test-only dependency, used as an oracle
     with mpmath.workdps(40):
         return max(mpmath.eigsy(mpmath.matrix(rows), eigvals_only=True))
 
@@ -113,6 +118,7 @@ def _mp_top_eigenvalue(rows):
 def _mp_ball_lambda1(d, r):
     """lambda1 of ball(d, r) from its symmetric level quotient: the
     tridiagonal with off-diagonals sqrt(j (d - j + 1)), j = 1..r."""
+    import mpmath
     with mpmath.workdps(40):
         rows = [[mpmath.mpf(0)] * (r + 1) for _ in range(r + 1)]
         for j in range(1, r + 1):
@@ -141,6 +147,7 @@ def _mp_lambda1(fam):
 def test_lambda1_interval_holds_the_exact_value():
     # lo <= lambda1 <= lo + error_bound, in floating point and with no
     # slack, on both paths: Q_k has lambda1 = k and the m-leaf star sqrt(m)
+    import mpmath
     cases = [(initial_segment(2**k, k), mpmath.mpf(k)) for k in range(1, 9)]
     cases += [(star_family(64, m), mpmath.sqrt(m)) for m in range(65)]
     cases += [(hamming_ball(d, r), _mp_ball_lambda1(d, r))
@@ -274,10 +281,12 @@ def test_bipartite_stack_is_the_even_by_odd_block_of_a():
     padded = 0
     for rows in stacks:
         masks = np.array(rows, dtype=np.uint64)
-        b = spectral._bipartite_stack(masks)
+        b, even_masks, odd_masks = spectral._bipartite_stack(masks)
         even = np.bitwise_count(masks) % 2 == 0
         assert b.shape == (len(rows), even.sum(axis=1).max(),
                            (~even).sum(axis=1).max())
+        assert even_masks.shape == b.shape[:2]
+        assert odd_masks.shape == (len(rows), b.shape[2])
         for f, members in enumerate(rows):
             evens = [v for v in members if v.bit_count() % 2 == 0]
             odds = [v for v in members if v.bit_count() % 2 == 1]
@@ -289,6 +298,9 @@ def test_bipartite_stack_is_the_even_by_odd_block_of_a():
             e, o = want.shape
             assert np.array_equal(b[f, :e, :o], want)
             assert not b[f, e:].any() and not b[f, :, o:].any()
+            assert even_masks[f, :e].tolist() == evens
+            assert odd_masks[f, :o].tolist() == odds
+            assert not even_masks[f, e:].any() and not odd_masks[f, o:].any()
             padded += b.shape[1:] != (e, o)
     assert padded >= 20
 
