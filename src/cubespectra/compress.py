@@ -248,6 +248,23 @@ def _member_fails(s: int, members) -> bool:
     return False
 
 
+def _prerequisites(s: int) -> tuple[int, ...]:
+    """The vertices `_member_fails` looks up for s, in its order: s fails
+    in `members` exactly when one of them is absent."""
+    pre = []
+    m = s
+    while m:
+        low = m & -m
+        pre.append(s ^ low)
+        m ^= low
+    m = s & ~(s << 1) & ~1
+    while m:
+        low = m & -m
+        pre.append(s ^ low ^ low >> 1)
+        m ^= low
+    return tuple(pre)
+
+
 def is_compressed(x) -> tuple[bool, CompressionStep | None]:
     """True iff x is a fixpoint of every down-step and swap step.
 

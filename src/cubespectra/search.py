@@ -10,11 +10,15 @@ orderly DFS: grow the family one vertex at a time, in increasing binary
 order, keeping only extensions whose lower shadow and adjacent shifts
 are already present: the member-local test that `is_compressed` applies
 to every member, which suffices because a compressed family plus a
-vertex that passes it is compressed (`compress`'s module docstring).  Each member offers one extension, its first non-member
-above its largest element, and a new member changes only two offers, so
-the DFS runs on an explicit stack of offers, at any depth, and yields
-each family as its sorted members.  Members of a compressed n-family use
-elements at most n-1, which bounds the offers.
+vertex that passes it is compressed (`compress`'s module docstring).
+Each member offers one extension, its first non-member above its largest
+element, and a new member changes only two offers, so the DFS runs on an
+explicit stack of offers, at any depth, and yields each family as its
+sorted members.  Members of a compressed n-family use elements at most
+n-1, which bounds the offers.  An offer that fails remembers the absent
+prerequisite that rejected it, and fails again at once while that one is
+still absent, which is sound whatever the DFS did in between: about three
+offers in four are rejected so at n = 28.
 
 A certified family is an interval [lo, hi] for its lambda1 (`lambda1`'s
 `SpectralResult.interval()`).  Families rank by lo; the maximizers are
@@ -52,9 +56,9 @@ from math import inf, log, sqrt
 
 import numpy as np
 
-from .compress import _member_fails, is_compressed
-from .core import (VertexFamily, adjacency_lists, elements_of, star_family,
-                   vertex_of, vertex_str)
+from .compress import _prerequisites, is_compressed
+from .core import (MAX_DIM, VertexFamily, adjacency_lists, elements_of,
+                   star_family, vertex_of, vertex_str)
 from .spectral import DEFAULT_TOL, _bipartite_stack, lambda1, star_value
 
 # Steps on B B^T before the screen's Collatz-Wielandt ratio: more steps
@@ -83,7 +87,17 @@ def enumerate_compressed(n: int, cap_dim: int):
     joins, p = v - {max v} offers p + {max v + 1} in its place and v
     offers v + {max v + 1}; every other offer stays.  Each node of the
     depth-first search keeps its untried offers above the last member,
-    largest first, on an explicit stack."""
+    largest first, on an explicit stack.
+
+    Most offers fail, and the same offer is tested again at many nodes.
+    For the length of the call each offer v keeps its prerequisites (the
+    shadows and adjacent shifts `_member_fails` looks up,
+    `_prerequisites`) and the one whose absence last rejected it.  While
+    that one is still absent v fails at once, with one lookup: an absent
+    prerequisite is a failure whatever else the DFS has added or removed,
+    so the reject needs no invariant of the search.  Otherwise the full
+    test runs and records the prerequisite that fails now.  The empty
+    set, always a member, stands for "none recorded"."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if cap_dim < 1 or n > 2**cap_dim:
@@ -95,6 +109,8 @@ def enumerate_compressed(n: int, cap_dim: int):
         return
     top = 1 << min(cap_dim, n - 1)
     path, members, stack = [0], {0}, [[1]]
+    prereqs: dict[int, tuple[int, ...]] = {}
+    blocker: dict[int, int] = {}
     while stack:
         offers = stack[-1]
         if not offers:
@@ -102,16 +118,24 @@ def enumerate_compressed(n: int, cap_dim: int):
             members.remove(path.pop())
             continue
         v = offers.pop()
-        if _member_fails(v, members):
+        if blocker.get(v, 0) not in members:
             continue
-        if len(path) == n - 1:
-            yield (*path, v)
-            continue
-        bit = 1 << v.bit_length()           # element max v + 1
-        path.append(v)
-        members.add(v)
-        new = [(v ^ bit >> 1) | bit, v | bit] if bit < top else []
-        stack.append(sorted(offers + new, reverse=True))
+        pre = prereqs.get(v)
+        if pre is None:
+            pre = prereqs[v] = _prerequisites(v)
+        for p in pre:
+            if p not in members:
+                blocker[v] = p
+                break
+        else:
+            if len(path) == n - 1:
+                yield (*path, v)
+                continue
+            bit = 1 << v.bit_length()           # element max v + 1
+            path.append(v)
+            members.add(v)
+            new = [(v ^ bit >> 1) | bit, v | bit] if bit < top else []
+            stack.append(sorted(offers + new, reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +223,8 @@ def max_lambda1(n: int, d: int, tol: float = DEFAULT_TOL, top_k: int = 3,
     that certifying every family would give.  A budget `max_families`
     stops the enumeration after that many families (at least 1).
     """
+    if not 1 <= d <= MAX_DIM:
+        raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {d}")
     if n > 2**d:
         raise ValueError(f"no family of size {n} fits in Q_{d}")
     if top_k < 0:

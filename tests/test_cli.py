@@ -171,6 +171,15 @@ def test_search_rejects_a_budget_below_one(capsys, budget):
     assert err == f"error: search budget must be >= 1, got {budget}\n"
 
 
+@pytest.mark.parametrize("n, d", [("44", "70"), ("1", "0")])
+def test_search_checks_the_dimension_before_enumerating(capsys, n, d):
+    start = time.perf_counter()
+    code, out, err = run_cli(["search", "--n", n, "--d", d], capsys)
+    assert time.perf_counter() - start < 0.5
+    assert code == cli.EXIT_PRECONDITION and out == ""
+    assert err == f"error: dimension must be in 1..64, got {d}\n"
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_non_finite_tol_exits_2(tmp_path, capsys, tol):
     path = tmp_path / "seg.fam"

@@ -4,10 +4,11 @@ import itertools
 from math import sqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import brute_is_compressed, brute_lambda1
 from cubespectra import search
-from cubespectra.compress import is_compressed
+from cubespectra.compress import _member_fails, _prerequisites, is_compressed
 from cubespectra.core import VertexFamily, adjacency_lists, vertex_of
 from cubespectra.search import enumerate_compressed, max_lambda1, verify_star_regime
 from cubespectra.spectral import SpectralResult, classic_bounds, lambda1
@@ -82,6 +83,18 @@ def test_enumeration_matches_brute_filter():
         )
         enum = sorted(frozenset(ms) for ms in enumerate_compressed(n, 4))
         assert enum == brute, n
+
+
+@settings(max_examples=1000)
+@given(st.integers(0, 2**10 - 1), st.sets(st.integers(0, 55), max_size=3))
+def test_prerequisites_decide_the_member_test(v, absent):
+    # every prerequisite lies within distance 2 of v, among the 56
+    # vertices of `near`; S lacks a few of them, so both outcomes occur
+    flips = [0] + [1 << a for a in range(10)]
+    near = sorted({v ^ x ^ y for x in flips for y in flips})
+    members = {u for k, u in enumerate(near) if k not in absent}
+    assert (_member_fails(v, members)
+            == any(p not in members for p in _prerequisites(v)))
 
 
 def test_enumeration_families_are_compressed_and_unique():
@@ -160,6 +173,9 @@ def test_search_space_counts_are_stable():
               for n in range(2, 14)}
     assert counts == {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 4, 8: 6, 9: 7,
                       10: 10, 11: 13, 12: 18, 13: 23}
+    counts = {n: sum(1 for _ in enumerate_compressed(n, n - 1))
+              for n in (28, 32, 36)}
+    assert counts == {28: 1180, 32: 3140, 36: 8185}
 
 
 def certify_all(n, d, tol=1e-10, top_k=3, max_families=None):
