@@ -241,6 +241,8 @@ def _oracle_max(n: int, d: int) -> float:
 
 def _cmd_partition(args):
     fam = core.read_family(args.family)
+    if len(fam) == 0:
+        raise ValueError("family is empty")
     if args.preset:
         if args.preset == "sec51":
             eps = search.epsilon_preset_sqrt(fam.d, len(fam))

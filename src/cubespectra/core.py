@@ -42,9 +42,20 @@ def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+_ELEMENT_NAMES = tuple(str(j) for j in range(MAX_DIM + 1))
+
+
 def vertex_str(mask: int) -> str:
     """Print a vertex as a sorted element list; the empty set prints as {}."""
-    return "{" + ",".join(str(j) for j in elements_of(mask)) + "}"
+    if mask < 0:
+        raise ValueError(f"vertex mask {mask} is negative")
+    names = []
+    while mask:
+        low = mask & -mask
+        j = low.bit_length()
+        names.append(_ELEMENT_NAMES[j] if j <= MAX_DIM else str(j))
+        mask ^= low
+    return "{" + ",".join(names) + "}"
 
 
 def binary_compare(s: int, t: int) -> int:
@@ -141,6 +152,11 @@ class CubeGraph:
     indptr: np.ndarray
     indices: np.ndarray
 
+    def neighbour_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per vertex, the sum of `values` over its neighbours."""
+        sums = np.concatenate(([0], np.cumsum(values[self.indices])))
+        return sums[self.indptr[1:]] - sums[self.indptr[:-1]]
+
 
 def cube_graph(fam: VertexFamily) -> CubeGraph:
     """Build the induced subgraph of `fam` from every vertex's d bit-flips.
@@ -182,15 +198,6 @@ def induced_edges(fam: VertexFamily) -> tuple[tuple[int, int], ...]:
                      g.vertices[g.indices[upper]].tolist()))
 
 
-def adjacency_lists(fam: VertexFamily) -> dict[int, tuple[int, ...]]:
-    """Neighbour lists inside the induced subgraph, keyed by vertex mask."""
-    g = cube_graph(fam)
-    ptr = g.indptr.tolist()
-    nbrs = g.vertices[g.indices].tolist()
-    return {v: tuple(nbrs[ptr[k]:ptr[k + 1]])
-            for k, v in enumerate(g.vertices.tolist())}
-
-
 @dataclass(frozen=True)
 class DegreeProfile:
     degrees: dict[int, int]
@@ -203,8 +210,7 @@ def degree_profile(fam: VertexFamily) -> DegreeProfile:
     degrees over one vertex's neighbourhood."""
     g = cube_graph(fam)
     deg = np.diff(g.indptr)
-    sums = np.concatenate(([0], np.cumsum(deg[g.indices])))
-    nbr_sums = sums[g.indptr[1:]] - sums[g.indptr[:-1]]
+    nbr_sums = g.neighbour_sums(deg)
     return DegreeProfile(
         dict(zip(g.vertices.tolist(), deg.tolist())),
         int(deg.max(initial=0)),

@@ -57,8 +57,8 @@ from math import inf, log, sqrt
 import numpy as np
 
 from .compress import _prerequisites, is_compressed
-from .core import (MAX_DIM, VertexFamily, adjacency_lists, elements_of,
-                   star_family, vertex_of, vertex_str)
+from .core import (MAX_DIM, VertexFamily, cube_graph, elements_of,
+                   star_family, vertex_str)
 from .spectral import DEFAULT_TOL, _bipartite_stack, lambda1, star_value
 
 # Steps on B B^T before the screen's Collatz-Wielandt ratio: more steps
@@ -353,13 +353,9 @@ def _members_within(members, cap_elements: int) -> frozenset[int]:
 def _round(members, d: int, k: int, shells, centers, caps, covered):
     """Shell and centers of round k >= 1, derived from round k - 1's
     shell, centers and covered set and from the caps."""
-    shell = set()
-    for s in shells[k - 1] | centers[k - 1]:
-        for t in range(caps[k - 1] + 1, d + 1):
-            bit = 1 << (t - 1)
-            if not s & bit and s | bit in members:
-                shell.add(s | bit)
-    shell = frozenset(shell)
+    bits = [1 << t for t in range(caps[k - 1], d)]   # elements above m_{k-1}
+    shell = frozenset({s | b for s in shells[k - 1] | centers[k - 1]
+                       for b in bits if not s & b} & members)
     return shell, _members_within(members, caps[k]) - covered[k - 1] - shell
 
 
@@ -370,26 +366,24 @@ def build_partition(fam: VertexFamily, epsilon: float) -> PartitionCertificate:
     ok, violation = is_compressed(fam)
     if not ok:
         raise ValueError(f"family is not compressed: violates {violation.describe()}")
-    d = fam.d
-    members = fam.members
-    adj = adjacency_lists(fam)
+    d, members = fam.d, fam.members
+    g = cube_graph(fam)
     threshold = epsilon * d
 
     cores = [frozenset(members)]
     degenerate = len(members) == 0
-    while cores[-1]:
-        prev = cores[-1]
-        survivors = frozenset(
-            s for s in prev if sum(1 for u in adj[s] if u in prev) >= threshold
-        )
-        if survivors == prev:
+    live = np.ones(len(members), dtype=bool)
+    while live.any():
+        survivors = live & (g.neighbour_sums(live) >= threshold)
+        if (survivors == live).all():
             # self-sustaining heavy core: the chain never empties, the
             # construction's hypotheses fail; fall back to one block
             degenerate = True
             break
-        if not survivors:
+        if not survivors.any():
             break
-        cores.append(survivors)
+        live = survivors
+        cores.append(frozenset(g.vertices[live].tolist()))
 
     if degenerate:
         cores = cores[:1]
@@ -403,9 +397,7 @@ def build_partition(fam: VertexFamily, epsilon: float) -> PartitionCertificate:
     covered = [centers[0]]
 
     for k in range(1, depth + 1):
-        probe = 0
-        for j in range(k):
-            probe |= 1 << caps[j]        # element m_j + 1
+        probe = sum(1 << caps[j] for j in range(k))   # elements m_j + 1
         core = cores[depth - k]
         caps.append(max([t for t in range(caps[k - 1] + 2, d + 1)
                          if probe | (1 << (t - 1)) in core],
@@ -416,15 +408,10 @@ def build_partition(fam: VertexFamily, epsilon: float) -> PartitionCertificate:
         centers.append(center)
         covered.append(covered[-1] | shell | center)
 
-    star_balls: dict[tuple[int, int], frozenset[int]] = {}
-    for k in range(depth):
-        for s in centers[k]:
-            ball = {s}
-            for j in range(1, depth - k + 1):
-                for t in shells[k + j]:
-                    if (s ^ t).bit_count() == j:
-                        ball.add(t)
-            star_balls[(k, s)] = frozenset(ball)
+    star_balls = {(k, s): frozenset({s} | {t for j in range(1, depth - k + 1)
+                                          for t in shells[k + j]
+                                          if (s ^ t).bit_count() == j})
+                  for k in range(depth) for s in centers[k]}
 
     return PartitionCertificate(
         d, epsilon, depth, degenerate, tuple(cores), tuple(caps),
@@ -454,31 +441,24 @@ class PartitionReport:
         return [c for c in list(self.parts) + list(self.assertions) if not c.passed]
 
 
-def _induced_degree(members: frozenset[int], adj) -> int:
-    best = 0
-    for s in members:
-        best = max(best, sum(1 for u in adj.get(s, ()) if u in members))
-    return best
-
-
-def _block_edges(members: frozenset[int], adj) -> set[tuple[int, int]]:
-    out = set()
-    for s in members:
-        for u in adj.get(s, ()):
-            if u in members and u > s:
-                out.add((s, u))
-    return out
-
-
 def _unique_representation(s: int, k: int, cert: PartitionCertificate):
     """List decompositions S = T + extras with T a center of round j and
     the sorted extras above the caps m_j..m_{k-1}, one each: the extras
-    are k - j of S's own elements, so T is looked up, not searched for."""
+    are k - j of S's own elements, so T is looked up, not searched for.
+    Every extra is at least the first, so only elements above m_j count."""
+    bits = [(e, 1 << (e - 1)) for e in elements_of(s)] if k else []
     hits = []
     for j in range(k + 1):
-        for extras in combinations(elements_of(s), k - j):
-            if all(e > cap for e, cap in zip(extras, cert.caps[j:])):
-                t = s ^ vertex_of(extras)
+        if not cert.centers[j]:
+            continue
+        high = [b for b in bits if b[0] > cert.caps[j]]
+        for extras in combinations(high, k - j):
+            t = s
+            for (e, bit), cap in zip(extras, cert.caps[j:]):
+                if e <= cap:
+                    break
+                t ^= bit
+            else:
                 if t in cert.centers[j]:
                     hits.append((j, t))
     return hits
@@ -506,9 +486,23 @@ def verify_partition(cert: PartitionCertificate, fam: VertexFamily) -> Partition
     """
     members = fam.members
     d, depth = cert.d, cert.depth
-    adj = adjacency_lists(fam)   # read with .get: a non-member has no edges
+    g = cube_graph(fam)
+    verts = g.vertices.tolist()
+    index = {v: k for k, v in enumerate(verts)}
+    rows = np.repeat(np.arange(len(verts)), np.diff(g.indptr))
     limit = cert.epsilon * d
-    degrees = [_induced_degree(block, adj) for block in cert.blocks()]
+
+    def mask(part) -> np.ndarray:
+        # a certificate vertex outside the family has no row, so no edges
+        out = np.zeros(len(verts), dtype=bool)
+        out[[index[v] for v in part if v in index]] = True
+        return out
+
+    def edge_str(e) -> str:
+        return f"{vertex_str(verts[rows[e]])}-{vertex_str(verts[g.indices[e]])}"
+
+    blocks = list(map(mask, cert.blocks()))
+    degrees = [int(g.neighbour_sums(b)[b].max(initial=0)) for b in blocks]
 
     def ball_overlaps():
         seen: dict[int, tuple[int, int]] = {}
@@ -547,12 +541,12 @@ def verify_partition(cert: PartitionCertificate, fam: VertexFamily) -> Partition
                 yield f"covered[{k}] mismatch at {vertex_str(min(stray))}"
 
     def edge_mismatches():
-        covered = set()
-        for part in (*cert.blocks(), *cert.star_balls.values()):
-            covered |= _block_edges(part, adj)
-        if stray := _block_edges(members, adj) ^ covered:
-            s, u = min(stray)
-            yield f"edge {vertex_str(s)}-{vertex_str(u)} mismatch"
+        # parts hold only family edges, so a mismatch is an uncovered edge
+        covered = np.zeros(len(rows), dtype=bool)
+        for part in [*blocks, *map(mask, cert.star_balls.values())]:
+            covered |= part[rows] & part[g.indices]
+        for e in np.flatnonzero((g.indices > rows) & ~covered)[:1]:
+            yield f"edge {edge_str(e)} mismatch"
 
     def heavy_blocks():
         for k, deg in enumerate(degrees):
@@ -578,11 +572,9 @@ def verify_partition(cert: PartitionCertificate, fam: VertexFamily) -> Partition
             later = set(cert.centers[k + 1]) if k < depth else set()
             if k + 2 <= depth:
                 later |= cert.shells[k + 2] | cert.centers[k + 2]
-            for s in sorted(cert.covered[k]):
-                for u in adj.get(s, ()):
-                    if u in later:
-                        yield (f"edge {vertex_str(s)}-{vertex_str(u)} "
-                               f"leaves covered[{k}]")
+            leaving = mask(cert.covered[k])[rows] & mask(later)[g.indices]
+            for e in np.flatnonzero(leaving):
+                yield f"edge {edge_str(e)} leaves covered[{k}]"
 
     def blocks_in_earlier_rounds():
         for k in range(1, depth + 1):

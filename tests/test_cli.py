@@ -154,11 +154,15 @@ def test_search_out_file_and_budget(tmp_path, capsys):
     assert json.loads(out)["complete"] is False
 
 
-@pytest.mark.parametrize("command", ["lambda1", "bounds"])
-def test_empty_family_exits_2(tmp_path, capsys, command):
+@pytest.mark.parametrize("argv", [
+    ["lambda1"], ["bounds"], ["partition", "--preset", "sec51"],
+    ["partition", "--epsilon", "0.5"],
+], ids=["lambda1", "bounds", "partition-sec51", "partition-epsilon"])
+def test_empty_family_exits_2(tmp_path, capsys, argv):
+    # the check comes before epsilon: sec51 on n = 0 would give 0.0
     path = tmp_path / "empty.fam"
     path.write_text("d=3\n")
-    code, out, err = run_cli([command, "--family", str(path)], capsys)
+    code, out, err = run_cli([*argv, "--family", str(path)], capsys)
     assert code == cli.EXIT_PRECONDITION
     assert out == "" and err == "error: family is empty\n"
 

@@ -208,6 +208,20 @@ def test_vertex_str():
     assert vertex_str(vertex_of([1, 3])) == "{1,3}"
 
 
+def _vertex_str_of_elements(mask):
+    return "{" + ",".join(str(j) for j in elements_of(mask)) + "}"
+
+
+@settings(max_examples=300)
+@given(st.integers(0, (1 << 64) - 1))
+def test_vertex_str_matches_element_formatting(mask):
+    # the extremes, and a mask past 64 bits, as error messages print one
+    for m in (mask, 0, (1 << 64) - 1, (1 << 70) | 5):
+        assert vertex_str(m) == _vertex_str_of_elements(m)
+    with pytest.raises(ValueError, match="negative"):
+        vertex_str(-1 - mask)
+
+
 def _elements_bit_by_bit(mask):
     """Reference decoder: shift the mask right one bit at a time."""
     out, j = [], 1

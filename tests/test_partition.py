@@ -5,10 +5,13 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cubespectra.compress import fully_compress
-from cubespectra.core import VertexFamily, hamming_ball, initial_segment, vertex_of
+from cubespectra.compress import _prerequisites, fully_compress
+from cubespectra.core import (VertexFamily, hamming_ball, initial_segment,
+                              vertex_of, vertex_str)
 from cubespectra.search import (
+    PartitionCertificate,
     _unique_representation,
     build_partition,
     enumerate_compressed,
@@ -273,3 +276,212 @@ def test_unique_representation_matches_center_scan():
                 for s in fam.members:
                     assert (sorted(_unique_representation(s, k, c))
                             == sorted(_scan_representations(s, k, c)))
+
+
+# ---------------------------------------------------------------------------
+# Set-based references for the parts of the build and the verifier that
+# run on the family's CSR arrays or were rewritten with them: the core
+# peeling, the rounds' shells, the block degrees, the edge cover, the edges
+# to later rounds and the representations.  They read neighbour sets, and
+# a certificate vertex outside the family has none.
+
+
+def _neighbours(fam):
+    return {s: frozenset(s ^ 1 << b for b in range(fam.d)
+                         if s ^ 1 << b in fam.members)
+            for s in fam.members}
+
+
+def _reference_round(members, d, k, shells, centers, caps, covered):
+    """Round k's shell and centers, one element above m_{k-1} at a time."""
+    shell = set()
+    for s in shells[k - 1] | centers[k - 1]:
+        for t in range(caps[k - 1] + 1, d + 1):
+            if not s >> t - 1 & 1 and s | 1 << t - 1 in members:
+                shell.add(s | 1 << t - 1)
+    low = {s for s in members if s >> caps[k] == 0}
+    return frozenset(shell), frozenset(low - covered[k - 1] - shell)
+
+
+def _reference_partition(fam, epsilon):
+    """The certificate, built with the core peeling on neighbour sets."""
+    adj, members, d = _neighbours(fam), fam.members, fam.d
+    cores = [members]
+    degenerate = not members
+    while cores[-1]:
+        prev = cores[-1]
+        survivors = frozenset(s for s in prev
+                              if len(adj[s] & prev) >= epsilon * d)
+        if survivors == prev:
+            degenerate = True
+            break
+        if not survivors:
+            break
+        cores.append(survivors)
+    if degenerate:
+        cores = cores[:1]
+    depth = len(cores) - 1
+    deepest = cores[depth] or members
+    caps = [max([t for t in range(1, d + 1) if 1 << t - 1 in deepest],
+                default=1)]
+    shells = [frozenset()]
+    centers = [frozenset(s for s in members if s >> caps[0] == 0)]
+    covered = [centers[0]]
+    for k in range(1, depth + 1):
+        probe = sum(1 << caps[j] for j in range(k))
+        caps.append(max([t for t in range(caps[k - 1] + 2, d + 1)
+                         if probe | 1 << t - 1 in cores[depth - k]],
+                        default=caps[k - 1] + 1))
+        shell, center = _reference_round(members, d, k, shells, centers, caps,
+                                         covered)
+        shells.append(shell)
+        centers.append(center)
+        covered.append(covered[-1] | shell | center)
+    balls = {(k, s): frozenset({s} | {t for j in range(1, depth - k + 1)
+                                      for t in shells[k + j]
+                                      if (s ^ t).bit_count() == j})
+             for k in range(depth) for s in centers[k]}
+    return PartitionCertificate(d, epsilon, depth, degenerate, tuple(cores),
+                                tuple(caps), tuple(shells), tuple(centers),
+                                tuple(covered), balls)
+
+
+def _reference_outcomes(cert, fam):
+    """(passed, witness) of each check that reads the graph, by name."""
+    adj = _neighbours(fam)
+    limit = cert.epsilon * cert.d
+    degrees = [max((len(adj.get(s, frozenset()) & block) for s in block),
+                   default=0) for block in cert.blocks()]
+
+    def within(part):
+        return {(s, u) for s in part for u in adj.get(s, ())
+                if u in part and u > s}
+
+    def first(witnesses):
+        return next(((False, w) for w in witnesses), (True, ""))
+
+    covered = set().union(*map(within, cert.blocks()),
+                          *map(within, cert.star_balls.values()))
+    stray = sorted(within(fam.members) ^ covered)
+
+    def later_edges():
+        for k in range(cert.depth + 1):
+            later = set(cert.centers[k + 1]) if k < cert.depth else set()
+            if k + 2 <= cert.depth:
+                later |= cert.shells[k + 2] | cert.centers[k + 2]
+            for s in sorted(cert.covered[k]):
+                for u in sorted(adj.get(s, ())):
+                    if u in later:
+                        yield (f"edge {vertex_str(s)}-{vertex_str(u)} "
+                               f"leaves covered[{k}]")
+
+    def ambiguous():
+        for k in range(cert.depth + 1):
+            for s in sorted(cert.shells[k] | cert.centers[k]):
+                hits = _scan_representations(s, k, cert)
+                if len(hits) != 1:
+                    yield (f"{vertex_str(s)} in round {k} has {len(hits)} "
+                           "decompositions")
+
+    return {
+        "edges_covered_exactly": first(
+            f"edge {vertex_str(s)}-{vertex_str(u)} mismatch" for s, u in stray),
+        "block_degree_bounded": first(
+            f"block {k} has internal degree {deg} > {limit:.3f}"
+            for k, deg in enumerate(degrees) if deg > limit),
+        "caps_bound_degree": first(
+            f"round {k}: degree {deg}, cap {cert.caps[k]}, threshold {limit:.3f}"
+            for k, deg in enumerate(degrees)
+            if not deg <= cert.caps[k] <= limit),
+        "no_edges_to_later_rounds": first(later_edges()),
+        "unique_representation": first(ambiguous()),
+    }
+
+
+def _compressed_closure(generators):
+    """The smallest compressed family holding `generators`: close under
+    the shadows and adjacent shifts that the member test looks up."""
+    members, todo = set(), list(generators)
+    while todo:
+        v = todo.pop()
+        if v not in members:
+            members.add(v)
+            todo.extend(_prerequisites(v))
+    return frozenset(members)
+
+
+def _corruptions(cert, fam):
+    """The corruptions that `cert` has room for, by name: each takes a
+    hypothesis `draw` and returns a corrupted copy."""
+    balls = sorted(cert.star_balls)
+    outside = sorted(set(range(1 << cert.d)) - fam.members)
+
+    def move(draw):
+        src = draw(st.sampled_from([k for k, b in enumerate(cert.blocks()) if b]))
+        v = draw(st.sampled_from(sorted(cert.blocks()[src])))
+        dst = draw(st.sampled_from([k for k in range(cert.depth + 1) if k != src]))
+        shells = [sh - {v} for sh in cert.shells]
+        centers = [c - {v} for c in cert.centers]
+        (shells if draw(st.booleans()) else centers)[dst] |= {v}
+        return replace(cert, shells=tuple(shells), centers=tuple(centers))
+
+    def ball_gains(pool):
+        def corrupt(draw):
+            key, v = draw(st.sampled_from(balls)), draw(st.sampled_from(pool))
+            return replace(cert, star_balls={**cert.star_balls,
+                                             key: cert.star_balls[key] | {v}})
+        return corrupt
+
+    def overlap(draw):
+        # a vertex of one ball joins another ball, or a new one when
+        # there is only one
+        key = draw(st.sampled_from(balls))
+        v = draw(st.sampled_from(sorted(cert.star_balls[key])))
+        other = [b for b in balls if b != key] or [(cert.depth, 1 << cert.d)]
+        target = draw(st.sampled_from(other))
+        ball = cert.star_balls.get(target, frozenset()) | {v}
+        return replace(cert, star_balls={**cert.star_balls, target: ball})
+
+    def raise_cap(draw):
+        caps = list(cert.caps)
+        caps[draw(st.integers(0, cert.depth))] += draw(st.integers(1, 3))
+        return replace(cert, caps=tuple(caps))
+
+    out = {"move": move} if cert.depth else {}
+    if balls:
+        out.update(ball_member=ball_gains(sorted(fam.members)), overlap=overlap)
+    if balls and outside:
+        out["ball_outsider"] = ball_gains(outside)
+    return {**out, "cap": raise_cap, "none": lambda draw: cert}
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_array_partition_matches_set_reference(data):
+    # generators of at most 4 elements give ball-like families, often
+    # with heavy centers, star balls and several rounds
+    d = data.draw(st.integers(5, 10), label="d")
+    generators = data.draw(st.lists(st.sets(st.integers(1, d), max_size=4),
+                                    min_size=1, max_size=3), label="generators")
+    fam = VertexFamily(d, _compressed_closure(map(vertex_of, generators)))
+    epsilon = data.draw(st.sampled_from([0.5, 0.6, 0.7, "sec51"]), label="epsilon")
+    if epsilon == "sec51":
+        epsilon = epsilon_preset_sqrt(d, len(fam))
+    cert = build_partition(fam, epsilon)
+    assert cert == _reference_partition(fam, epsilon)
+    corruptions = _corruptions(cert, fam)
+    kind = data.draw(st.sampled_from(list(corruptions)), label="corruption")
+    cert = corruptions[kind](data.draw)
+    report = verify_partition(cert, fam)
+    expected = _reference_outcomes(cert, fam)
+    outcomes = [(c.name, c.passed, c.witness)
+                for c in report.parts + report.assertions]
+    assert [name for name, _, _ in outcomes] == [
+        "star_balls_disjoint", "blocks_partition_vertices",
+        "edges_covered_exactly", "block_degree_bounded",
+        "unique_representation", "covered_sets_compressed",
+        "no_edges_to_later_rounds", "blocks_avoid_earlier_rounds",
+        "caps_bound_degree", "cores_covered", "star_balls_disjoint"]
+    for name, passed, witness in outcomes:
+        if name in expected:
+            assert (passed, witness) == expected[name], name

@@ -3,13 +3,14 @@
 import itertools
 from math import sqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import brute_is_compressed, brute_lambda1
 from cubespectra import search
 from cubespectra.compress import _member_fails, _prerequisites, is_compressed
-from cubespectra.core import VertexFamily, adjacency_lists, vertex_of
+from cubespectra.core import VertexFamily, cube_graph, vertex_of
 from cubespectra.search import enumerate_compressed, max_lambda1, verify_star_regime
 from cubespectra.spectral import SpectralResult, classic_bounds, lambda1
 
@@ -331,9 +332,11 @@ def test_screen_certifies_as_few_families_as_before(monkeypatch):
 def even_neighbour_degree_sum(fam):
     """max over even members v of the sum of deg w over neighbours w of v:
     the largest row sum of B B^T."""
-    adj = adjacency_lists(fam)
-    return max(sum(len(adj[w]) for w in adj[v])
-               for v in fam.members if v.bit_count() % 2 == 0)
+    g = cube_graph(fam)
+    deg = np.diff(g.indptr)
+    return max(int(deg[g.indices[g.indptr[k]:g.indptr[k + 1]]].sum())
+               for k, v in enumerate(g.vertices.tolist())
+               if v.bit_count() % 2 == 0)
 
 
 @pytest.mark.parametrize("steps", [None, 0, 1, 200])
