@@ -99,7 +99,9 @@ def _cmd_lambda1(args):
 def _cmd_hamming(args):
     record: dict = {"d": args.d, "i": args.i}
     if args.constants:
-        record["limit_constant"] = spectral.limit_constant(max(args.i, 1))
+        if not 0 <= args.i <= args.d:
+            raise ValueError(f"radius {args.i} out of range 0..{args.d}")
+        record["limit_constant"] = spectral.limit_constant(args.i)
         return EXIT_OK, record
     exact = spectral.hamming_lambda1_exact(args.d, args.i)
     record.update(_spectral_record(exact))
@@ -109,7 +111,8 @@ def _cmd_hamming(args):
         if 1 <= args.i <= args.d // 2:
             record["upper_bound"] = spectral.hamming_upper_bound(args.d, args.i)
             if args.i >= 2:
-                k = args.k or spectral.default_walk_depth(args.i)
+                k = (spectral.default_walk_depth(args.i) if args.k is None
+                     else args.k)
                 record["walk_lower_bound"] = spectral.hamming_walk_lower_bound(
                     args.d, args.i, k)
                 record["walk_depth"] = k
@@ -247,10 +250,9 @@ def _cmd_partition(args):
         if args.preset == "sec51":
             eps = search.epsilon_preset_sqrt(fam.d, len(fam))
         elif args.preset == "sec52":
-            eps = search.epsilon_preset_log_ratio(fam.d, max(args.i, 1),
-                                                  args.alpha)
+            eps = search.epsilon_preset_log_ratio(fam.d, args.i, args.alpha)
         else:
-            eps = search.epsilon_preset_fixed_radius(fam.d, max(args.i, 1))
+            eps = search.epsilon_preset_fixed_radius(fam.d, args.i)
     elif args.epsilon is not None:
         eps = args.epsilon
     else:

@@ -158,35 +158,39 @@ class CubeGraph:
         return sums[self.indptr[1:]] - sums[self.indptr[:-1]]
 
 
-def cube_graph(fam: VertexFamily) -> CubeGraph:
-    """Build the induced subgraph of `fam` from every vertex's d bit-flips.
-
-    When 2^d <= 2nd, an int32 table of 2^d entries, holding each vertex's
-    position or -1, is no larger than the n x d uint64 flip matrix, and
-    each flip is looked up in it directly.  Otherwise each row of flips
-    is sorted and looked up in the sorted vertex array with one
-    `searchsorted`, and a flip that lands on an equal entry is an edge.
-    """
-    n, d = len(fam), fam.d
-    verts = np.fromiter(fam.members, dtype=np.uint64, count=n)
-    verts.sort()
+def flip_csr(rows: np.ndarray, cols: np.ndarray, d: int, n: int):
+    """CSR (indptr, indices) of "the row and column masks differ in one
+    bit", for ascending uint64 masks of an n-vertex family of Q_d; each
+    row lists its columns in ascending order (`cols` is empty only if
+    `rows` is).  When 2^d <= 2nd, an int32 table of 2^d entries holding
+    each column's position or -1, no larger than an n x d flip matrix,
+    looks every flip up directly.  Otherwise each row of flips is sorted
+    and looked up in `cols` with one `searchsorted`, and a flip that
+    lands on an equal entry is an edge."""
     bits = np.left_shift(np.uint64(1), np.arange(d, dtype=np.uint64))
     if (1 << d) <= 2 * n * d:
         table = np.full(1 << d, -1, dtype=np.int32)
-        table[verts] = np.arange(n, dtype=np.int32)
-        # positions follow vertex order, so sorted rows are sorted lists
-        pos = np.sort(table[verts[:, None] ^ bits], axis=1)
+        table[cols] = np.arange(len(cols), dtype=np.int32)
+        # positions follow mask order, so sorted rows are sorted lists
+        pos = np.sort(table[rows[:, None] ^ bits], axis=1)
         hit = pos >= 0
         indices = pos[hit].astype(np.int64)
     else:
-        # sorting each row of flips makes each neighbour list come out sorted
-        flips = np.sort(verts[:, None] ^ bits, axis=1)
-        pos = np.searchsorted(verts, flips)
-        hit = verts[np.minimum(pos, n - 1)] == flips
+        # sorting each row of flips makes each column list come out sorted
+        flips = np.sort(rows[:, None] ^ bits, axis=1)
+        pos = np.searchsorted(cols, flips)
+        hit = cols[np.minimum(pos, len(cols) - 1)] == flips
         indices = pos[hit]
-    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(hit.sum(axis=1), out=indptr[1:])
-    return CubeGraph(verts, indptr, indices)
+    return indptr, indices
+
+
+def cube_graph(fam: VertexFamily) -> CubeGraph:
+    """Build the induced subgraph of `fam` from every vertex's d bit-flips."""
+    verts = np.fromiter(fam.members, dtype=np.uint64, count=len(fam))
+    verts.sort()
+    return CubeGraph(verts, *flip_csr(verts, verts, fam.d, len(fam)))
 
 
 def induced_edges(fam: VertexFamily) -> tuple[tuple[int, int], ...]:
@@ -223,8 +227,10 @@ def degree_profile(fam: VertexFamily) -> DegreeProfile:
 # vertex per line as a binary string of length d, character j (1-indexed,
 # left to right) = '1' iff j is an element.  '#' starts a comment;
 # duplicate vertices are errors.  `parse_family` checks and decodes all
-# vertex lines at once as one (m, d + 1) byte array; only when a check
-# fails does it read the lines one by one, to name the first bad line.
+# vertex lines at once as one (m, d + 1) byte array, of a canonical file's
+# own bytes or of its normalised lines; only when a check fails on these
+# does it read the lines one by one, to name the first bad line.
+_CANONICAL_HEADERS = {f"d={d}": d for d in range(1, MAX_DIM + 1)}
 
 
 def mask_to_binary_string(mask: int, d: int) -> str:
@@ -263,31 +269,42 @@ def _raise_first_bad_line(body: list[str], d: int) -> None:
         seen.add(mask)
 
 
+def _decode_lines(buffer: bytes, offset: int, d: int) -> np.ndarray | None:
+    """The masks of the lines of buffer[offset:], or None unless every
+    line is d characters of 0/1 ending in '\\n' and no two are equal."""
+    raw = np.frombuffer(buffer, dtype=np.uint8, offset=offset)
+    m, rest = divmod(len(raw), d + 1)
+    rows = raw[:m * (d + 1)].reshape(m, d + 1)
+    digits = rows[:, :d] - np.uint8(ord("0"))
+    if rest or not (digits <= 1).all() or (rows[:, d] != ord("\n")).any():
+        return None
+    packed = np.zeros((m, 8), dtype=np.uint8)
+    packed[:, :(d + 7) // 8] = np.packbits(digits, axis=1, bitorder="little")
+    masks = packed.view("<u8").ravel()
+    return None if (np.diff(np.sort(masks)) == 0).any() else masks
+
+
 def parse_family(text: str) -> VertexFamily:
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
-    lines = list(filter(None, map(str.strip, lines)))
-    d = _header_dim(lines, "family")
-    m = len(lines) - 1
-    # 'replace' turns each non-ASCII character into one '?' byte, so bytes
-    # and characters agree.  The m lines end in the m newlines of the
-    # buffer; when the first d columns of every row are 0/1, the newlines
-    # can only fill the last column, so each line is d characters of 0/1.
-    raw = np.frombuffer(("\n".join(lines) + "\n").encode("ascii", "replace"),
-                        dtype=np.uint8, offset=len(lines[0]) + 1)
-    if len(raw) == m * (d + 1):
-        digits = raw.reshape(m, d + 1)[:, :d] - np.uint8(ord("0"))
-        if (digits <= 1).all():
-            packed = np.zeros((m, 8), dtype=np.uint8)
-            packed[:, :(d + 7) // 8] = np.packbits(digits, axis=1,
-                                                   bitorder="little")
-            masks = packed.view("<u8").ravel()
-            ordered = np.sort(masks)
-            if not (ordered[1:] == ordered[:-1]).any():
-                return VertexFamily(d, frozenset(masks.tolist()))
-    _raise_first_bad_line(lines[1:], d)
-    raise AssertionError("a vertex line failed a check that no line fails")
+    # A canonical file, 'd=<int>' and lines of d characters of 0/1 each
+    # ending in '\n', is decoded as its bytes; 'replace' encodes each
+    # non-ASCII character as one '?' byte, so bytes and characters agree.
+    head = text[:max(text.find("\n"), 0)]
+    d = _CANONICAL_HEADERS.get(head)
+    masks = None if d is None else _decode_lines(
+        text.encode("ascii", "replace"), len(head) + 1, d)
+    if masks is None:
+        lines = text.splitlines()
+        if "#" in text:
+            lines = [line.split("#", 1)[0] for line in lines]
+        lines = list(filter(None, map(str.strip, lines)))
+        d = _header_dim(lines, "family")
+        masks = _decode_lines(
+            ("\n".join(lines) + "\n").encode("ascii", "replace"),
+            len(lines[0]) + 1, d)
+        if masks is None:
+            _raise_first_bad_line(lines[1:], d)
+            raise AssertionError("a vertex line failed a check no line fails")
+    return VertexFamily(d, frozenset(masks.tolist()))
 
 
 def format_family(fam: VertexFamily) -> str:

@@ -13,10 +13,11 @@ Three solvers live here:
   the iteration stops on its width.  Up to 64 vertices M is dense,
   formed by an XOR test on the member masks (`_bipartite_stack`, which
   `search`'s screen stacks for many families at once).  Above that M is
-  applied through the sparse blocks B and B^T, and the iteration starts
-  from a Lanczos Ritz vector (method "lanczos"), which leaves it a
-  handful of steps instead of a few hundred; the certificate does not
-  depend on the start.
+  applied through sparse B and B^T: the block with the smaller side as
+  rows, from one bit-flip lookup per row, and its transpose.  The
+  iteration starts from a Lanczos Ritz vector (method "lanczos"), which
+  leaves it a handful of steps instead of a few hundred; the certificate
+  does not depend on the start.
 
 * `hamming_lambda1_exact` -- the Hamming ball's Perron vector is uniform
   on each level, which collapses the eigenproblem to an (i+1)x(i+1)
@@ -42,7 +43,7 @@ from math import comb, sqrt
 import numpy as np
 
 from .compress import WeightVector
-from .core import CubeGraph, VertexFamily, cube_graph, degree_profile
+from .core import VertexFamily, cube_graph, degree_profile, flip_csr
 from .subcubes import count_subcubes
 
 DEFAULT_TOL = 1e-10
@@ -76,12 +77,13 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
 
     Up to 64 vertices M is dense and the iteration starts from the
     uniform vector (method "power", "dense-small" for one vertex).  Above
-    that M is applied through the sparse B and B^T (`_bipartite_blocks`)
-    from the top Ritz vector of a Lanczos run on M (`_lanczos_start`;
-    method "lanczos").  A family without edges gets [0, 0] exactly, with
-    the uniform eigenvector.  `iterations` counts the certifying power
-    steps.  The eigenvector is (x, B^T x / ||B^T x||) / sqrt(2) for the
-    last iterate x; its weight dict is built when first read."""
+    that M is applied through the sparse B and B^T, built from the masks
+    without a CubeGraph (`_bipartite_blocks`), from the top Ritz vector of
+    a Lanczos run on M (`_lanczos_start`; method "lanczos").  A family
+    without edges gets [0, 0] exactly, with the uniform eigenvector.
+    `iterations` counts the certifying power steps.  The eigenvector is
+    (x, B^T x / ||B^T x||) / sqrt(2) for the last iterate x; its weight
+    dict is built when first read."""
     if len(fam) == 0:
         raise ValueError("family is empty")
     if not 0 < tol < math.inf:
@@ -104,8 +106,7 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
         roundings = half   # a product and half - 1 additions
         method = "power" if n > 1 else "dense-small"
     else:
-        g = cube_graph(fam)
-        b, bt, order = _bipartite_blocks(g)
+        b, bt, masks = _bipartite_blocks(fam)
         matvec = lambda v: b.dot(bt.dot(v))
         lift = bt.dot
         odd_degrees = np.diff(bt.indptr)
@@ -115,7 +116,6 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
         # products with 1.0 are exact: deg w - 1, then deg v - 1 additions
         roundings = int(np.diff(b.indptr).max(initial=0)
                         + odd_degrees.max(initial=0)) - 2
-        masks = g.vertices[order]
         method = "lanczos"
 
     # The Collatz-Wielandt ratio bounds lambda1(M) for positive x.  On a
@@ -182,34 +182,25 @@ class _ArrayWeightVector(WeightVector):
         return dict(zip(masks[keep].tolist(), values[keep].tolist()))
 
 
-def _bipartite_blocks(g: CubeGraph):
-    """B, B^T and the even-first vertex order of a cube subgraph.
-
-    Q_d is bipartite between the sets of even and odd size, so in the
-    order `order` (even side first, then odd, each ascending) A is
-    [[0, B], [B^T, 0]].  Both blocks are rows of the CSR of A with the
-    columns renumbered within their side; that renumbering is monotone,
-    so every row keeps its neighbour order."""
+def _bipartite_blocks(fam: VertexFamily):
+    """B, B^T and the masks in their order, even side first, then odd,
+    each ascending: Q_d is bipartite between the sets of even and odd
+    size, so A is [[0, B], [B^T, 0]].  The block with the smaller side as
+    rows comes from `flip_csr`, and the other is its transpose, whose
+    rows also list their columns in ascending order."""
     from scipy.sparse import csr_matrix
 
-    odd = np.bitwise_count(g.vertices) & 1 == 1
-    evens, odds = np.flatnonzero(~odd), np.flatnonzero(odd)
-    side_pos = np.empty(len(odd), dtype=np.int64)
-    side_pos[evens] = np.arange(len(evens))
-    side_pos[odds] = np.arange(len(odds))
-    degrees = np.diff(g.indptr)
-    cols = side_pos[g.indices]
-    from_odd = np.repeat(odd, degrees)
-
-    def block(rows, row_cols, width):
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(degrees[rows], out=indptr[1:])
-        return csr_matrix((np.ones(len(row_cols)), row_cols, indptr),
-                          shape=(len(rows), width))
-
-    return (block(evens, cols[~from_odd], len(odds)),
-            block(odds, cols[from_odd], len(evens)),
-            np.concatenate((evens, odds)))
+    masks = np.fromiter(fam.members, dtype=np.uint64, count=len(fam))
+    masks.sort()
+    odd = np.bitwise_count(masks) & 1 == 1
+    evens, odds = masks[~odd], masks[odd]
+    rows, cols = (evens, odds) if len(evens) <= len(odds) else (odds, evens)
+    indptr, indices = flip_csr(rows, cols, fam.d, len(masks))
+    block = csr_matrix((np.ones(len(indices)), indices, indptr),
+                       shape=(len(rows), len(cols)))
+    other = block.T.tocsr()
+    b, bt = (block, other) if rows is evens else (other, block)
+    return b, bt, np.concatenate((evens, odds))
 
 
 def _bipartite_stack(masks: np.ndarray):

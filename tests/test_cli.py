@@ -167,6 +167,30 @@ def test_empty_family_exits_2(tmp_path, capsys, argv):
     assert out == "" and err == "error: family is empty\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["hamming", "--d", "5", "--i", "-3", "--constants"],
+     "radius -3 out of range 0..5"),
+    (["hamming", "--d", "-5", "--i", "2", "--constants"],
+     "radius 2 out of range 0..-5"),
+    (["hamming", "--d", "5", "--i", "0", "--constants"],
+     "radius must be >= 1"),
+    (["hamming", "--d", "5", "--i", "2", "--bounds", "--k", "0"],
+     "need 1 <= k < i <= d/2, got k=0, i=2, d=5"),
+    (["partition", "--preset", "sec52", "--i", "0"], "need 0 < i < d"),
+    (["partition", "--preset", "sec6", "--i", "-4"], "need i >= 1"),
+], ids=["constants-negative-i", "constants-negative-d", "constants-i-0",
+        "bounds-k-0", "sec52-i-0", "sec6-negative-i"])
+def test_out_of_range_arguments_exit_2(tmp_path, capsys, argv, message):
+    # each value reaches the check that owns it, unclamped
+    if argv[0] == "partition":
+        path = tmp_path / "ball.fam"
+        path.write_text(format_family(hamming_ball(8, 1)))
+        argv = [*argv, "--family", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == cli.EXIT_PRECONDITION and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("budget", ["0", "-1"])
 def test_search_rejects_a_budget_below_one(capsys, budget):
     code, out, err = run_cli(

@@ -299,30 +299,54 @@ def test_family_file_errors_and_comments():
         parse_family("000\n")                # missing header
 
 
+def test_parse_family_needs_a_newline_after_every_vertex_line():
+    # 1000010 fills two rows of d + 1 = 4 bytes with 0/1 and a newline,
+    # but it is one line of 7 characters
+    with pytest.raises(ValueError, match="'1000010' is not 3 characters"):
+        parse_family("d=3\n1000010\n")
+    # a form feed is no newline in the bytes, but it ends a line
+    assert parse_family("d=1\n0\x0c1\n").members == frozenset([0, 1])
+
+
 @st.composite
 def family_texts(draw):
     """Family files with a valid header and vertex lines that may be
     commented, padded, blank, repeated, of the wrong length or holding
-    other characters, with LF or CRLF endings."""
+    other characters, with LF or CRLF endings.  A quarter start out
+    canonical, the input `parse_family` decodes from its bytes: 'd=<int>'
+    and lines of d characters of 0/1, each ending in LF.  Any file may
+    then take a character on which `str.splitlines` splits but a scan
+    for LF does not."""
     d = draw(st.one_of(st.just(64), st.integers(1, 12), st.integers(13, 64)))
     vertex = st.integers(0, 2**d - 1).map(lambda m: mask_to_binary_string(m, d))
     pad = st.sampled_from(("", " ", "\t", "  \t "))
-    lines = [draw(st.sampled_from(("", "# a family"))), f"d={d}" + draw(pad)]
+    canonical = draw(st.integers(0, 3)) == 0
+    if canonical:
+        lines = [f"d={d}"]
+        kinds = ("vertex", "vertex", "vertex", "repeat")
+    else:
+        lines = [draw(st.sampled_from(("", "# a family"))),
+                 f"d={d}" + draw(pad)]
+        kinds = ("vertex", "vertex", "vertex", "repeat", "blank", "comment")
+    first = len(lines)
     for _ in range(draw(st.integers(0, 10))):
-        kind = draw(st.sampled_from(
-            ("vertex", "vertex", "vertex", "repeat", "blank", "comment")))
-        if kind == "vertex" or (kind == "repeat" and len(lines) == 2):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "vertex" or (kind == "repeat" and len(lines) == first):
             line = draw(vertex)
         elif kind == "repeat":
-            line = draw(st.sampled_from(lines[2:]))
+            line = draw(st.sampled_from(lines[first:]))
         elif kind == "blank":
             line = draw(pad)
         else:
             line = draw(pad) + "# comment " + draw(vertex)
-        lines.append(draw(pad) + line + draw(st.sampled_from(("", " # 1", "#"))))
-    for _ in range(draw(st.integers(0, 2))):
+        if not canonical:
+            line = draw(pad) + line + draw(st.sampled_from(("", " # 1", "#")))
+        lines.append(line)
+    # half the canonical files stay so, apart from any repeated line
+    faulty = not canonical or draw(st.booleans())
+    for _ in range(draw(st.integers(0, 2)) if faulty else 0):
         # a faulty line: wrong length, or another character put in or over
-        k = draw(st.integers(2, len(lines)))
+        k = draw(st.integers(first, len(lines)))
         line = draw(vertex)
         fault = draw(st.sampled_from(("short", "long", "insert", "replace")))
         if fault == "short":
@@ -335,8 +359,18 @@ def family_texts(draw):
                                  st.characters()))
             line = line[:j] + bad + line[j + (fault == "replace"):]
         lines.insert(k, line)
-    ending = draw(st.sampled_from(("\n", "\r\n")))
-    return ending.join(lines) + draw(st.sampled_from(("", ending)))
+    if canonical:
+        text = "".join(line + "\n" for line in lines)
+    else:
+        ending = draw(st.sampled_from(("\n", "\r\n")))
+        text = ending.join(lines) + draw(st.sampled_from(("", ending)))
+    for _ in range(draw(st.integers(0, 1)) if faulty else 0):
+        # put in, or over a character after the header, a line break
+        # that is not LF
+        j = draw(st.integers(text.index(f"d={d}") + len(f"d={d}"), len(text)))
+        brk = draw(st.sampled_from(("\x0b", "\x0c", "\x1c", "\x85", "\u2028")))
+        text = text[:j] + brk + text[j + draw(st.booleans()):]
+    return text
 
 
 def _parse_outcome(parse, text):

@@ -328,10 +328,26 @@ def test_bipartite_blocks_give_the_bits_of_the_csr_product():
     families += [VertexFamily(d, frozenset(rng.sample(range(2**d),
                                                      rng.randint(65, 2**d))))
                  for d in (7, 8, 9, 12) for _ in range(3)]
+    # B^T built first and B as its transpose (odd side 130 < even 256);
+    # the searchsorted lookup (2^20 > 2nd); masks holding bits 62 and 63;
+    # one side empty, from the table and from searchsorted
+    top = 3 << 62
+    families += [
+        hamming_ball(10, 4),
+        VertexFamily(20, frozenset(rng.sample(range(2**20), 300))),
+        VertexFamily(64, frozenset({top, 1 << 62, 1 << 63}
+                                   | {top ^ 1 << j for j in range(60)}
+                                   | {1 << 62 ^ 1 << j for j in range(10)})),
+        VertexFamily(10, frozenset(rng.sample(
+            [m for m in range(2**10) if m.bit_count() % 2 == 0], 100))),
+        VertexFamily(12, frozenset(rng.sample(
+            [m for m in range(2**12) if m.bit_count() % 2 == 1], 100))),
+    ]
     for fam in families:
         g = cube_graph(fam)
         n = len(g.vertices)
-        b, bt, order = spectral._bipartite_blocks(g)
+        b, bt, masks = spectral._bipartite_blocks(fam)
+        order = np.searchsorted(g.vertices, masks)
         half = b.shape[0]
         parity = [int(v).bit_count() % 2 for v in g.vertices[order]]
         assert parity == [0] * half + [1] * (n - half)
