@@ -97,6 +97,8 @@ def _cmd_lambda1(args):
 
 
 def _cmd_hamming(args):
+    if args.k is not None and not args.bounds:
+        raise ValueError("--k needs --bounds")
     record: dict = {"d": args.d, "i": args.i}
     if args.constants:
         if not 0 <= args.i <= args.d:
@@ -110,12 +112,12 @@ def _cmd_hamming(args):
         record["level_bound"] = spectral.band_bound(args.i, args.d)
         if 1 <= args.i <= args.d // 2:
             record["upper_bound"] = spectral.hamming_upper_bound(args.d, args.i)
-            if args.i >= 2:
-                k = (spectral.default_walk_depth(args.i) if args.k is None
-                     else args.k)
-                record["walk_lower_bound"] = spectral.hamming_walk_lower_bound(
-                    args.d, args.i, k)
-                record["walk_depth"] = k
+        if args.i >= 2 or args.k is not None:
+            k = (spectral.default_walk_depth(args.i) if args.k is None
+                 else args.k)
+            record["walk_lower_bound"] = spectral.hamming_walk_lower_bound(
+                args.d, args.i, k)
+            record["walk_depth"] = k
     return EXIT_OK, record
 
 
@@ -176,9 +178,7 @@ def _cmd_compress(args):
 
 
 def _cmd_count_cubes(args):
-    if args.family is None and args.initial is None:
-        raise ValueError("count-cubes needs --family or --initial")
-    if args.family:
+    if args.family is not None:
         fam = core.read_family(args.family)
         count = subcubes.count_subcubes(fam, args.dprime)
         record = {"source": "family", "n": len(fam), "d": fam.d,
@@ -187,15 +187,17 @@ def _cmd_count_cubes(args):
         count = subcubes.initial_count(args.initial, args.dprime)
         record = {"source": "initial", "n": args.initial,
                   "dprime": args.dprime, "count": count.count}
-        if args.bounds:
-            record["smooth_bound"] = subcubes.subcube_bound_smooth(
-                args.initial, args.dprime)
-            record["integer_bound"] = subcubes.subcube_bound_integer(
-                args.initial, args.dprime)
+    if args.bounds:
+        record["smooth_bound"] = subcubes.subcube_bound_smooth(
+            record["n"], args.dprime)
+        record["integer_bound"] = subcubes.subcube_bound_integer(
+            record["n"], args.dprime)
     return EXIT_OK, record
 
 
 def _cmd_search(args):
+    if args.oracle and args.d > 4:
+        raise ValueError("oracle brute force is limited to d <= 4")
     result = search.max_lambda1(args.n, args.d, tol=args.tol, top_k=args.top,
                                 max_families=args.budget)
     record = {
@@ -227,8 +229,6 @@ def _oracle_max(n: int, d: int) -> float:
 
     import numpy as np
 
-    if d > 4:
-        raise ValueError("oracle brute force is limited to d <= 4")
     edges = [(u, v) for u in range(1 << d) for v in range(1 << d)
              if u < v and (u ^ v).bit_count() == 1]
     best = 0.0
@@ -246,17 +246,14 @@ def _cmd_partition(args):
     fam = core.read_family(args.family)
     if len(fam) == 0:
         raise ValueError("family is empty")
-    if args.preset:
-        if args.preset == "sec51":
-            eps = search.epsilon_preset_sqrt(fam.d, len(fam))
-        elif args.preset == "sec52":
-            eps = search.epsilon_preset_log_ratio(fam.d, args.i, args.alpha)
-        else:
-            eps = search.epsilon_preset_fixed_radius(fam.d, args.i)
-    elif args.epsilon is not None:
-        eps = args.epsilon
+    if args.preset == "sec51":
+        eps = search.epsilon_preset_sqrt(fam.d, len(fam))
+    elif args.preset == "sec52":
+        eps = search.epsilon_preset_log_ratio(fam.d, args.i, args.alpha)
+    elif args.preset == "sec6":
+        eps = search.epsilon_preset_fixed_radius(fam.d, args.i)
     else:
-        raise ValueError("need --epsilon or --preset")
+        eps = args.epsilon
     cert = search.build_partition(fam, eps)
     record = {
         "d": cert.d,
@@ -353,10 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub("hamming", help="Hamming-ball eigenvalues and bounds")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--i", type=int, required=True)
-    p.add_argument("--bounds", action="store_true",
-                   help="include the closed-form bounds")
-    p.add_argument("--constants", action="store_true",
-                   help="report the large-d limit constant instead")
+    kind = p.add_mutually_exclusive_group()
+    kind.add_argument("--bounds", action="store_true",
+                      help="include the closed-form bounds")
+    kind.add_argument("--constants", action="store_true",
+                      help="report the large-d limit constant instead")
     p.add_argument("--k", type=int, default=None,
                    help="walk depth for the lower bound")
 
@@ -370,8 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", help="write the changed-step log to this JSON file")
 
     p = sub("count-cubes", help="exact subcube counts and bounds")
-    p.add_argument("--family")
-    p.add_argument("--initial", type=int)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--family")
+    source.add_argument("--initial", type=int)
     p.add_argument("--dprime", type=int, required=True)
     p.add_argument("--bounds", action="store_true")
 
@@ -388,8 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub("partition", help="heavy-vertex partition certificate")
     p.add_argument("--family", required=True)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--preset", choices=["sec51", "sec52", "sec6"], default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--epsilon", type=float)
+    source.add_argument("--preset", choices=["sec51", "sec52", "sec6"])
     p.add_argument("--i", type=int, default=1,
                    help="radius parameter for the ratio presets")
     p.add_argument("--alpha", type=float, default=1.0)

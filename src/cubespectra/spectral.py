@@ -482,29 +482,28 @@ def _root_of_int(value: int, r: int) -> float:
 def walk_trace_bound(fam: VertexFamily, k: int) -> float:
     """(half the number of closed 2k-walks) ** (1/2k) >= lambda1.
 
-    A is symmetric, so the closed 2k-walks from s number
-    sum_u (k-walks s -> u)^2, which takes k steps from s instead of 2k.
-    Walk counts are exact integers (Python's arbitrary precision makes
-    the big-count fallback automatic).
+    A is symmetric, so trace(A^2k) = ||A^k||_F^2: the sum of the squared
+    entries of A^k, which takes k - 1 sparse int64 products.  An entry of
+    A^k counts k-walks, so it is at most D^k for the largest degree D;
+    the products are exact while D^k < 2^63, and outside that domain this
+    raises ValueError.  The squares are summed as Python ints.
     """
+    from scipy.sparse import csr_matrix
+
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(fam) == 0:
         raise ValueError("family is empty")
     g = cube_graph(fam)
-    ptr = g.indptr.tolist()
-    idx = g.indices.tolist()
-    nbrs = [idx[ptr[j]:ptr[j + 1]] for j in range(len(fam))]
-    total = 0
-    for start in range(len(fam)):
-        counts = {start: 1}
-        for _ in range(k):
-            nxt: dict[int, int] = {}
-            for v, c in counts.items():
-                for u in nbrs[v]:
-                    nxt[u] = nxt.get(u, 0) + c
-            counts = nxt
-        total += sum(c * c for c in counts.values())
+    top = int(np.diff(g.indptr).max())
+    if top ** min(k, 64) >= 1 << 63:     # any D >= 2 passes 2^63 by k = 63
+        raise ValueError(f"walk counts up to {top}^{k} overflow int64")
+    adj = csr_matrix((np.ones(len(g.indices), dtype=np.int64), g.indices,
+                      g.indptr), shape=(len(fam), len(fam)))
+    power = adj
+    for _ in range(k - 1):
+        power = power @ adj
+    total = sum(c * c for c in power.data.tolist())
     assert total % 2 == 0, "closed-walk count of a bipartite graph is even"
     return _root_of_int(total // 2, 2 * k)
 

@@ -176,10 +176,14 @@ def test_empty_family_exits_2(tmp_path, capsys, argv):
      "radius must be >= 1"),
     (["hamming", "--d", "5", "--i", "2", "--bounds", "--k", "0"],
      "need 1 <= k < i <= d/2, got k=0, i=2, d=5"),
+    (["hamming", "--d", "8", "--i", "1", "--bounds", "--k", "3"],
+     "need 1 <= k < i <= d/2, got k=3, i=1, d=8"),
+    (["hamming", "--d", "8", "--i", "3", "--k", "2"], "--k needs --bounds"),
     (["partition", "--preset", "sec52", "--i", "0"], "need 0 < i < d"),
     (["partition", "--preset", "sec6", "--i", "-4"], "need i >= 1"),
 ], ids=["constants-negative-i", "constants-negative-d", "constants-i-0",
-        "bounds-k-0", "sec52-i-0", "sec6-negative-i"])
+        "bounds-k-0", "bounds-k-i-1", "k-without-bounds", "sec52-i-0",
+        "sec6-negative-i"])
 def test_out_of_range_arguments_exit_2(tmp_path, capsys, argv, message):
     # each value reaches the check that owns it, unclamped
     if argv[0] == "partition":
@@ -189,6 +193,59 @@ def test_out_of_range_arguments_exit_2(tmp_path, capsys, argv, message):
     code, out, err = run_cli(argv, capsys)
     assert code == cli.EXIT_PRECONDITION and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["partition", "--family", "F", "--epsilon", "0.9", "--preset", "sec51"],
+     "argument --preset: not allowed with argument --epsilon"),
+    (["partition", "--family", "F"],
+     "one of the arguments --epsilon --preset is required"),
+    (["count-cubes", "--family", "F", "--initial", "100", "--dprime", "1"],
+     "argument --initial: not allowed with argument --family"),
+    (["count-cubes", "--dprime", "1"],
+     "one of the arguments --family --initial is required"),
+    (["hamming", "--d", "8", "--i", "3", "--constants", "--bounds"],
+     "argument --bounds: not allowed with argument --constants"),
+], ids=["epsilon-and-preset", "no-epsilon", "family-and-initial",
+        "no-source", "constants-and-bounds"])
+def test_conflicting_or_missing_sources_are_usage_errors(tmp_path, capsys,
+                                                         argv, message):
+    # argparse rejects these before any file is read
+    path = tmp_path / "ball.fam"
+    path.write_text(format_family(hamming_ball(8, 1)))
+    argv = [str(path) if a == "F" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.endswith(f"error: {message}\n")
+
+
+def test_count_cubes_bounds_on_a_family(tmp_path, capsys):
+    # the bounds hold for every family of n vertices, so a file gets them
+    # at n = |F|, as the initial segment of that size does
+    path = tmp_path / "ball.fam"
+    path.write_text(format_family(hamming_ball(8, 1)))
+    _, out, _ = run_cli(["count-cubes", "--initial", "9", "--dprime", "1",
+                         "--bounds"], capsys)
+    initial = json.loads(out)
+    code, out, _ = run_cli(["count-cubes", "--family", str(path),
+                            "--dprime", "1", "--bounds"], capsys)
+    record = json.loads(out)
+    assert code == 0 and record["n"] == 9 and record["count"] == 8
+    for key in ("smooth_bound", "integer_bound"):
+        assert record[key] == initial[key] >= record["count"]
+
+
+def test_search_checks_the_oracle_range_before_searching(monkeypatch, capsys):
+    def no_search(*args, **kwargs):
+        raise AssertionError("max_lambda1 ran before the oracle check")
+
+    monkeypatch.setattr(cli.search, "max_lambda1", no_search)
+    code, out, err = run_cli(["search", "--n", "40", "--d", "39", "--oracle"],
+                             capsys)
+    assert code == cli.EXIT_PRECONDITION and out == ""
+    assert err == "error: oracle brute force is limited to d <= 4\n"
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])

@@ -563,12 +563,36 @@ def _integer_adjacency(fam: VertexFamily) -> np.ndarray:
     return mat
 
 
+def _walk_trace_cases():
+    rng = random.Random(17)
+    high = [0, 1 << 62, 1 << 63, 3 << 62]
+    q64 = rng.sample([h | x for h in high for x in range(64)], 100)
+    yield from ((fam, range(1, 5)) for fam in _random_families(17, 40))
+    yield star_family(64, 64), range(1, 11)          # D = 64, 64^10 = 2^60
+    yield initial_segment(100, 8), range(1, 5)
+    yield VertexFamily(64, frozenset(q64)), range(1, 5)
+    yield hamming_ball(8, 2), range(1, 21)           # D = 8, 8^20 = 2^60
+    yield VertexFamily(3, frozenset([5])), range(1, 4)
+    yield VertexFamily(4, frozenset([0, 3, 5, 6])), range(1, 4)   # no edges
+
+
 def test_walk_trace_bound_matches_exact_trace():
-    for fam in _random_families(17, 40):
-        adj = _integer_adjacency(fam)
-        for k in range(1, 5):
+    # object dtype keeps the reference exact: int64 matrix_power
+    # overflows at D = 64, and ball(8, 2)'s trace passes 2^63
+    largest = 0
+    for fam, depths in _walk_trace_cases():
+        adj = _integer_adjacency(fam).astype(object)
+        for k in depths:
             trace = int(np.trace(np.linalg.matrix_power(adj, 2 * k)))
+            largest = max(largest, trace)
             assert walk_trace_bound(fam, k) == _root_of_int(trace // 2, 2 * k)
+    assert largest >= 1 << 63
+
+
+def test_walk_trace_bound_rejects_counts_past_int64():
+    # the star's centre has degree 64, and 64^11 = 2^66
+    with pytest.raises(ValueError, match="overflow int64"):
+        walk_trace_bound(star_family(64, 64), 11)
 
 
 def test_count_p2_c4_quartic_trace_identity():
