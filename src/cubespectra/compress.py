@@ -26,25 +26,53 @@ shifting argument of Frankl, 1987).  A member that passes still passes
 in a larger family, so a compressed F plus a vertex whose shadows and
 adjacent shifts lie in F is compressed: the search grows families so.
 
+A weight vector is decided the same way on its support, in O(|supp| d)
+lookups.  The two moves of the shifting argument chain, and <= is
+transitive on finite weights, so w is compressed exactly when no w(S)
+exceeds the weight of a shadow or an adjacent shift of S, an absent
+vertex weighing 0.  So a positive w(S) needs its shadows and adjacent
+shifts present with at least its weight, and a negative w(T) needs its
+up-neighbours and reverse adjacent shifts present with at most its
+weight.  `fully_compress` sweeps while the test fails, so its last sweep
+is never a silent one.
+
+When 2^d <= 2nd (`core.dense_fits`, the rule by which `core.flip_csr`
+picks its direct-address table), an n-member family is held as one
+Python int of 2^d bits, bit s set iff s is a member.  With P_b the int
+whose bit s is set iff s contains coordinate b + 1, the (U,V)-step with
+u = 2^(hi-1) and v = 2^(lo-1) or 0 moves the members
+bits & P_hi & ~P_lo & ~(bits << (u - v)) down by u - v: a few operations
+on whole ints, in place of a Python scan of the members.  The member
+test is the same operation for the d down-steps and the d - 1 adjacent
+swap steps.  Larger d keep the member sets, and `_movers` and
+`compress_family_uv` stay the reference for both.
+
 Termination is certified by an explicit potential: sum over vertices of
 (bitmask value) * (rank of the weight held there).  Every changing step
-strictly decreases it, and the implementation asserts this per step.
+strictly decreases it, and the implementation asserts this per step; on
+a bitmap, where that sum is read from the state as sum_b 2^b
+popcount(bits & P_b), it asserts each step's drop and checks the running
+total against the state once per sweep.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .core import MAX_DIM, VertexFamily, vertex_str
+from .core import MAX_DIM, VertexFamily, dense_fits, vertex_str
 
 
 @dataclass(frozen=True)
 class WeightVector:
-    """A real weight per vertex of Q_d, sparse: absent vertices weigh 0.
+    """A finite real weight per vertex of Q_d, sparse: absent vertices
+    weigh 0.
 
     Exact zeros are dropped at construction, so `support()` is the set of
-    vertices carrying nonzero weight.  Treat instances as immutable.
+    vertices carrying nonzero weight; NaN and infinite weights raise
+    `ValueError`, since compression needs weights totally ordered.  Treat
+    instances as immutable.
     """
 
     d: int
@@ -59,7 +87,11 @@ class WeightVector:
             if v & ~full:
                 raise ValueError(f"vertex {vertex_str(v)} outside Q_{self.d}")
             if w != 0.0:
-                clean[v] = float(w)
+                w = float(w)
+                if not math.isfinite(w):
+                    raise ValueError(f"weight of {vertex_str(v)} must be "
+                                     f"finite, got {w!r}")
+                clean[v] = w
         object.__setattr__(self, "weights", clean)
 
     def weight(self, mask: int) -> float:
@@ -218,14 +250,13 @@ def rayleigh(vec: WeightVector) -> float:
     return total
 
 
-def _uv_steps(d: int):
+@functools.cache      # every sweep and every failing `is_compressed` reads it
+def _uv_steps(d: int) -> tuple[tuple[int, int], ...]:
     """The fixpoint step set: all singleton down-steps, then all swap
     steps toward the smaller index, in a fixed deterministic order."""
-    for i in range(1, d + 1):
-        yield 1 << (i - 1), 0
-    for lo in range(1, d + 1):
-        for hi in range(lo + 1, d + 1):
-            yield 1 << (hi - 1), 1 << (lo - 1)
+    downs = tuple((1 << (i - 1), 0) for i in range(1, d + 1))
+    return downs + tuple((1 << (hi - 1), 1 << (lo - 1))
+                         for lo in range(1, d + 1) for hi in range(lo + 1, d + 1))
 
 
 def _member_fails(s: int, members) -> bool:
@@ -265,6 +296,111 @@ def _prerequisites(s: int) -> tuple[int, ...]:
     return tuple(pre)
 
 
+def _successors(s: int, d: int) -> tuple[int, ...]:
+    """The vertices whose `_prerequisites` include s: its up-neighbours
+    s + {e} and reverse adjacent shifts s - {e-1} + {e}, e not in s, in
+    Q_d."""
+    out = []
+    m = ((1 << d) - 1) & ~s
+    while m:
+        low = m & -m
+        out.append(s | low)
+        m ^= low
+    m = s & ~(s >> 1) & ((1 << d - 1) - 1)  # e-1 in s, e not in s, e <= d
+    while m:
+        low = m & -m
+        out.append(s ^ low ^ low << 1)
+        m ^= low
+    return tuple(out)
+
+
+def _vector_fails(weights: dict[int, float], d: int) -> bool:
+    """True when some w(S) exceeds the weight of a shadow or adjacent
+    shift of S, an absent vertex weighing 0.  By the shifting argument of
+    the module docstring, with <= transitive along adjacent shifts, no
+    such S exists exactly when the vector is compressed.  Only the
+    support is read: a positive w(S) needs its prerequisites present with
+    at least its weight, a negative w(T) its successors present with at
+    most its weight."""
+    get = weights.get
+    for s, w in weights.items():
+        if w > 0:
+            if any(get(t, 0.0) < w for t in _prerequisites(s)):
+                return True
+        elif any(get(t, 0.0) > w for t in _successors(s, d)):
+            return True
+    return False
+
+
+class _Bitmap:
+    """A family of Q_d as one int `bits`, bit s set iff s is a member,
+    used when `dense_fits(d, n)`.  `has[b]` has bit s set iff s contains
+    coordinate b + 1, and `lacks[b]` iff it does not, within 2^d bits.
+    A (U,V)-step is then a few operations on whole ints: the movers are
+    the members with U, without V, whose partner s - u + v is absent."""
+
+    __slots__ = ("d", "bits", "has", "lacks")
+
+    def __init__(self, fam: VertexFamily):
+        d = self.d = fam.d
+        digits = bytearray(b"0") * (1 << d)     # bit 0 first
+        for s in fam.members:
+            digits[s] = 49                        # "1"
+        self.bits = int(digits[::-1], 2)
+        # has[b] = has[b+1] ^ has[b+1] >> 2^b: the period halves, from
+        # has[d-1], whose upper half of the 2^d bits is set
+        has = [((1 << (1 << d - 1)) - 1) << (1 << d - 1)]
+        for b in range(d - 2, -1, -1):
+            has.append(has[-1] ^ has[-1] >> (1 << b))
+        has.reverse()
+        self.has = has
+        self.lacks = [p >> (1 << b) for b, p in enumerate(has)]
+
+    def movers(self, u: int, v: int) -> int:
+        """The members the (U,V)-step would move, as a bitmap."""
+        cand = self.bits & self.has[u.bit_length() - 1]
+        if v:
+            cand &= self.lacks[v.bit_length() - 1]
+        return cand ^ (cand & self.bits << (u - v))   # partner absent
+
+    def fails(self) -> bool:
+        """The member test of the module docstring on every member at
+        once: a down-step or an adjacent swap step has a mover."""
+        return (any(self.movers(1 << b, 0) for b in range(self.d))
+                or any(self.movers(1 << b, 1 << b - 1)
+                       for b in range(1, self.d)))
+
+    def potential(self) -> int:
+        """The sum of the members' masks."""
+        return sum((self.bits & has).bit_count() << b
+                   for b, has in enumerate(self.has))
+
+    def sweep(self, log: list) -> None:
+        """Apply every step of `_uv_steps(d)` in place, logging each that
+        moves a member, and certify the drop of the potential."""
+        pot = start = self.potential()
+        for u, v in _uv_steps(self.d):
+            movers = self.movers(u, v)
+            if movers:
+                drop = (u - v) * movers.bit_count()
+                assert drop > 0, "compression potential failed to drop"
+                self.bits ^= movers | movers >> (u - v)
+                pot -= drop
+                log.append(CompressionStep("uv", u=u, v=v, target="family"))
+        assert pot == self.potential(), "compression potential out of step"
+        assert pot < start, "a sweep of a state that fails moved nothing"
+
+    def members(self) -> frozenset[int]:
+        """The members, read from the binary digits of `bits`."""
+        digits = format(self.bits, "b")[::-1]     # bit 0 first
+        out = []
+        s = digits.find("1")
+        while s >= 0:
+            out.append(s)
+            s = digits.find("1", s + 1)
+        return frozenset(out)
+
+
 def is_compressed(x) -> tuple[bool, CompressionStep | None]:
     """True iff x is a fixpoint of every down-step and swap step.
 
@@ -272,17 +408,26 @@ def is_compressed(x) -> tuple[bool, CompressionStep | None]:
     a shift violation like {{2}} reports C_{2,1}.
     """
     if isinstance(x, VertexFamily):
-        if not any(_member_fails(s, x.members) for s in x.members):
-            return True, None
-        state, step, target = set(x.members), _movers, "family"
+        if dense_fits(x.d, len(x)):
+            bitmap = _Bitmap(x)
+            if not bitmap.fails():
+                return True, None
+            moves = bitmap.movers
+        else:
+            if not any(_member_fails(s, x.members) for s in x.members):
+                return True, None
+            moves = lambda u, v: _movers(set(x.members), u, v)
+        target = "family"
     elif isinstance(x, WeightVector):
-        state, step, target = x.weights, _swap_weights, "vector"
+        if not _vector_fails(x.weights, x.d):
+            return True, None
+        moves = lambda u, v: _swap_weights(dict(x.weights), u, v)
+        target = "vector"
     else:
         raise TypeError(f"expected VertexFamily or WeightVector, got {type(x)}")
-    for u, v in sorted(_uv_steps(x.d), key=lambda uv: uv[1] == 0):
-        if step(state.copy(), u, v):
-            return False, CompressionStep("uv", u=u, v=v, target=target)
-    return True, None
+    steps = _uv_steps(x.d)              # d down-steps, then swap steps
+    return False, next(CompressionStep("uv", u=u, v=v, target=target)
+                       for u, v in steps[x.d:] + steps[:x.d] if moves(u, v))
 
 
 def _vector_potential(weights: dict[int, float]):
@@ -303,19 +448,18 @@ def _vector_potential(weights: dict[int, float]):
     return lambda state: sum(s * rank[w] for s, w in state.items())
 
 
-def _sweep(state, d: int, step, potential, target: str, log) -> bool:
+def _sweep(state, d: int, step, potential, target: str, log) -> None:
     """Apply every step of `_uv_steps(d)` to `state` in place with
     `step`, logging each that changes it and asserting that
-    `potential(state)` drops; True when anything moved."""
-    pot = potential(state)
-    moved = False
+    `potential(state)` drops, and that the sweep changes something."""
+    pot = start = potential(state)
     for u, v in _uv_steps(d):
         if step(state, u, v):
             log.append(CompressionStep("uv", u=u, v=v, target=target))
             npot = potential(state)
             assert npot < pot, "compression potential failed to drop"
-            pot, moved = npot, True
-    return moved
+            pot = npot
+    assert pot < start, "a sweep of a state that fails moved nothing"
 
 
 def fully_compress(x):
@@ -323,13 +467,22 @@ def fully_compress(x):
 
     Returns (compressed object, list of steps that changed it).  The
     schedule sweeps singleton down-steps in increasing coordinate, then
-    swap steps in lexicographic order.  A family is swept while one of
-    its members fails the member test; a vector until a full sweep is
-    silent.  A strictly decreasing integer potential certifies
-    termination; it is asserted per changing step.
+    swap steps in lexicographic order, while the object fails its local
+    test: a member of a family fails the member test, or a vector
+    weight exceeds a shadow's or an adjacent shift's.  A sweep of an
+    object that fails moves something, so no sweep is silent.  A
+    strictly decreasing integer potential certifies termination; its
+    drop is asserted per changing step and per sweep, and on a bitmap
+    the running potential is checked once per sweep against the one
+    read from the state.
     """
     log: list[CompressionStep] = []
     if isinstance(x, VertexFamily):
+        if dense_fits(x.d, len(x)):
+            bitmap = _Bitmap(x)
+            while bitmap.fails():
+                bitmap.sweep(log)
+            return VertexFamily(x.d, bitmap.members()), log
         members = set(x.members)
         while any(_member_fails(s, members) for s in members):
             _sweep(members, x.d, _movers, sum, "family", log)
@@ -338,8 +491,8 @@ def fully_compress(x):
         raise TypeError(f"expected VertexFamily or WeightVector, got {type(x)}")
     weights = dict(x.weights)
     potential = _vector_potential(weights)
-    while _sweep(weights, x.d, _swap_weights, potential, "vector", log):
-        pass
+    while _vector_fails(weights, x.d):
+        _sweep(weights, x.d, _swap_weights, potential, "vector", log)
     return WeightVector(x.d, weights), log
 
 
@@ -360,10 +513,7 @@ def parse_vector(text: str) -> WeightVector:
         mask = binary_string_to_mask(parts[0], d)
         if mask in weights:
             raise ValueError(f"duplicate vertex line {line!r}")
-        weight = float(parts[1])
-        if not math.isfinite(weight):
-            raise ValueError(f"weight must be finite, got {line!r}")
-        weights[mask] = weight
+        weights[mask] = float(parts[1])
     return WeightVector(d, weights)
 
 

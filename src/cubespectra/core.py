@@ -158,17 +158,26 @@ class CubeGraph:
         return sums[self.indptr[1:]] - sums[self.indptr[:-1]]
 
 
+def dense_fits(d: int, n: int) -> bool:
+    """True when 2^d <= 2nd: a table over every vertex of Q_d, one entry
+    per vertex, is small beside the n·d bit-flips of an n-vertex family.
+    `flip_csr` then looks flips up in an int32 table, no larger than an
+    n x d flip matrix, and `compress` holds the family as one 2^d-bit
+    int."""
+    return (1 << d) <= 2 * n * d
+
+
 def flip_csr(rows: np.ndarray, cols: np.ndarray, d: int, n: int):
     """CSR (indptr, indices) of "the row and column masks differ in one
     bit", for ascending uint64 masks of an n-vertex family of Q_d; each
     row lists its columns in ascending order (`cols` is empty only if
-    `rows` is).  When 2^d <= 2nd, an int32 table of 2^d entries holding
-    each column's position or -1, no larger than an n x d flip matrix,
-    looks every flip up directly.  Otherwise each row of flips is sorted
-    and looked up in `cols` with one `searchsorted`, and a flip that
-    lands on an equal entry is an edge."""
+    `rows` is).  When `dense_fits(d, n)`, an int32 table of 2^d entries
+    holding each column's position or -1 looks every flip up directly.
+    Otherwise each row of flips is sorted and looked up in `cols` with
+    one `searchsorted`, and a flip that lands on an equal entry is an
+    edge."""
     bits = np.left_shift(np.uint64(1), np.arange(d, dtype=np.uint64))
-    if (1 << d) <= 2 * n * d:
+    if dense_fits(d, n):
         table = np.full(1 << d, -1, dtype=np.int32)
         table[cols] = np.arange(len(cols), dtype=np.int32)
         # positions follow mask order, so sorted rows are sorted lists

@@ -105,6 +105,22 @@ def brute_is_compressed(members, d: int) -> bool:
     return True
 
 
+def brute_vector_is_compressed(weights, d: int) -> bool:
+    """Definitional check on a weight dict, an absent vertex weighing 0:
+    no vertex outweighs its shadow S - {b} or a swap S - {b} + {a},
+    a < b, a not in S."""
+    w = lambda s: weights.get(s, 0.0)
+    for s in range(1 << d):
+        for b in range(d):
+            if s >> b & 1:
+                if w(s) > w(s ^ (1 << b)):
+                    return False
+                for a in range(b):
+                    if not s >> a & 1 and w(s) > w((s ^ (1 << b)) | (1 << a)):
+                        return False
+    return True
+
+
 def all_subsets_of_cube(d: int, n: int):
     """All n-subsets of V(Q_d) as tuples of masks."""
     return itertools.combinations(range(1 << d), n)

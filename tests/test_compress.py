@@ -1,13 +1,14 @@
 """Compression operators: definitions, monotonicity, fixpoints."""
 
 import itertools
+import math
 import random
 from math import isclose, sqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_is_compressed, brute_lambda1
+from conftest import brute_is_compressed, brute_lambda1, brute_vector_is_compressed
 from cubespectra.compress import (
     WeightVector,
     binary_compression,
@@ -19,7 +20,13 @@ from cubespectra.compress import (
     parse_vector,
     rayleigh,
 )
-from cubespectra.core import VertexFamily, hamming_ball, initial_segment, vertex_of
+from cubespectra.core import (
+    VertexFamily,
+    dense_fits,
+    hamming_ball,
+    initial_segment,
+    vertex_of,
+)
 from cubespectra.search import enumerate_compressed
 
 
@@ -210,15 +217,18 @@ def test_is_compressed_examples():
     assert not ok and step.describe() == "C_{{2},{1}}"
 
 
-def _first_moving_step(fam):
+def _first_moving_step(x):
     """Reference route: apply every swap step, then every down-step, to
-    the whole family and report the first that moves it."""
-    d = fam.d
+    the whole family or vector and report the first that moves it."""
+    d = x.d
     swaps = [(1 << (hi - 1), 1 << (lo - 1))
              for lo in range(1, d + 1) for hi in range(lo + 1, d + 1)]
     downs = [(1 << (i - 1), 0) for i in range(1, d + 1)]
     for u, v in swaps + downs:
-        if compress_family_uv(fam, u, v).members != fam.members:
+        if isinstance(x, VertexFamily):
+            if compress_family_uv(x, u, v).members != x.members:
+                return False, (u, v)
+        elif compress_vector_uv(x, u, v).weights != x.weights:
             return False, (u, v)
     return True, None
 
@@ -382,3 +392,87 @@ def test_parse_vector_checks_the_header_first():
     with pytest.raises(ValueError, match="header line 'd=65'"):
         parse_vector("d=65\n" + "0" * 65 + " 1.0\n")
     assert parse_vector("d=64 # the widest\n").weights == {}
+
+
+def _dense_rule_families():
+    """Families on both sides of `dense_fits`, which picks the bitmap
+    (2^d <= 2nd) or the member sets, each with the side it should pick:
+    raw, then compressed, then compressed with one vertex toggled."""
+    rnd = random.Random(22)
+    sample = lambda d, n: frozenset(rnd.sample(range(1 << d), n))
+    raw = [
+        (VertexFamily(12, sample(12, 2000)), True),
+        (VertexFamily(10, sample(10, 52)), True),    # 1024 <= 1040
+        (VertexFamily(10, sample(10, 51)), False),   # 1024 > 1020
+        (VertexFamily(20, sample(20, 60)), False),
+        (VertexFamily(64, frozenset({1 << 63, 3 << 62, 5, 1 << 40 | 1})), False),
+        (VertexFamily(1, frozenset({1})), True),
+        (VertexFamily(2, frozenset({3})), True),
+        (VertexFamily(5, frozenset()), False),
+    ]
+    out = []
+    for fam, side in raw:
+        done, _ = fully_compress(fam)
+        toggled = VertexFamily(fam.d, done.members ^ {rnd.getrandbits(fam.d)})
+        for kind, x, x_side in (("raw", fam, side), ("compressed", done, side),
+                                ("toggled", toggled, None)):
+            out.append(pytest.param(x, x_side, id=f"d{fam.d}-n{len(fam)}-{kind}"))
+    return out
+
+
+@pytest.mark.parametrize("fam, side", _dense_rule_families())
+def test_compression_on_both_sides_of_the_dense_rule(fam, side):
+    assert side in (None, dense_fits(fam.d, len(fam)))
+    _assert_fully_compress_matches_sweeps(fam)
+    ok, step = is_compressed(fam)
+    assert ok == brute_is_compressed(fam.members, fam.d)
+    assert (ok, step and (step.u, step.v)) == _first_moving_step(fam)
+
+
+def test_is_compressed_on_every_vector_of_q3():
+    # the local test on the support against the definition, weights in
+    # {-1, 0, 1, 2} on each of the 8 vertices
+    compressed = 0
+    for code in range(4 ** 8):
+        vec = WeightVector(3, {s: float((code >> 2 * s & 3) - 1)
+                               for s in range(8)})
+        ok = is_compressed(vec)[0]
+        assert ok == brute_vector_is_compressed(vec.weights, 3), vec.items()
+        compressed += ok
+    assert 0 < compressed < 4 ** 8
+
+
+@st.composite
+def vectors_q4_to_q8(draw):
+    """Weights in {-2, ..., 2}, so ties are common, on a random support
+    of Q4-Q8: as drawn, fully compressed, or compressed with one
+    vertex's weight redrawn, each a third of the time."""
+    d = draw(st.integers(4, 8))
+    rnd = draw(st.randoms(use_true_random=True))
+    weight = lambda: float(rnd.randint(-2, 2))
+    support = rnd.sample(range(1 << d), rnd.randint(1, min(1 << d, 60)))
+    vec = WeightVector(d, {s: weight() for s in support})
+    kind = draw(st.integers(0, 2))
+    if kind:
+        vec, _ = fully_compress(vec)
+    if kind == 2:
+        vec = WeightVector(d, {**vec.weights, rnd.randrange(1 << d): weight()})
+    return vec
+
+
+@settings(max_examples=200)
+@given(vectors_q4_to_q8())
+def test_vector_compression_property_q4_to_q8(vec):
+    ok, step = is_compressed(vec)
+    assert ok == brute_vector_is_compressed(vec.weights, vec.d)
+    assert (ok, step and (step.u, step.v)) == _first_moving_step(vec)
+    assert ok or (step.kind, step.target) == ("uv", "vector")
+    _assert_fully_compress_matches_sweeps(vec)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_weight_vector_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        WeightVector(3, {1: bad, 2: 1.0, 4: math.inf})
+    with pytest.raises(ValueError, match="must be finite"):
+        parse_vector(f"d=2\n01 1.0\n11 {bad}\n")
