@@ -48,11 +48,12 @@ swap steps.  Larger d keep the member sets, and `_movers` and
 `compress_family_uv` stay the reference for both.
 
 Termination is certified by an explicit potential: sum over vertices of
-(bitmask value) * (rank of the weight held there).  Every changing step
-strictly decreases it, and the implementation asserts this per step; on
-a bitmap, where that sum is read from the state as sum_b 2^b
-popcount(bits & P_b), it asserts each step's drop and checks the running
-total against the state once per sweep.
+(bitmask value) * (rank of the weight held there).  Each state (bitmap,
+member set, weight dict) has the local test `fails()`, `potential()`,
+`result()` and `step(u, v)`, which applies a step in place and returns
+the drop it caused, 0 when nothing moved.  Each changing step's drop is
+asserted positive, and once per sweep the running potential is checked
+against the state's.
 """
 
 from __future__ import annotations
@@ -131,12 +132,13 @@ class CompressionStep:
         return record
 
 
-def _swap_weights(weights: dict[int, float], u: int, v: int) -> bool:
-    """Apply the (U,V)-step to `weights` in place, dropping exact zeros;
-    True when a weight moved.  Pairs are visited by their first vertex
-    in `weights`' order, which fixes the order of the keys it adds."""
+def _swap_weights(weights: dict[int, float], u: int, v: int) -> list:
+    """Apply the (U,V)-step to `weights` in place, dropping exact zeros,
+    and return the swapped pairs of weights, larger first.  Pairs are
+    visited by their first vertex in `weights`' order, which fixes the
+    order of the keys it adds."""
     union = u | v
-    moved = False
+    swapped = []
     for hi in dict.fromkeys(s ^ union if s & union == u else s
                             for s in weights if s & union in (u, v)):
         lo = hi ^ union             # hi contains V and avoids U
@@ -147,8 +149,8 @@ def _swap_weights(weights: dict[int, float], u: int, v: int) -> bool:
                     weights[s] = w
                 else:
                     del weights[s]
-            moved = True
-    return moved
+            swapped.append((w_lo, w_hi))
+    return swapped
 
 
 def compress_vector_uv(vec: WeightVector, u: int, v: int) -> WeightVector:
@@ -314,32 +316,16 @@ def _successors(s: int, d: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _vector_fails(weights: dict[int, float], d: int) -> bool:
-    """True when some w(S) exceeds the weight of a shadow or adjacent
-    shift of S, an absent vertex weighing 0.  By the shifting argument of
-    the module docstring, with <= transitive along adjacent shifts, no
-    such S exists exactly when the vector is compressed.  Only the
-    support is read: a positive w(S) needs its prerequisites present with
-    at least its weight, a negative w(T) its successors present with at
-    most its weight."""
-    get = weights.get
-    for s, w in weights.items():
-        if w > 0:
-            if any(get(t, 0.0) < w for t in _prerequisites(s)):
-                return True
-        elif any(get(t, 0.0) > w for t in _successors(s, d)):
-            return True
-    return False
-
-
 class _Bitmap:
     """A family of Q_d as one int `bits`, bit s set iff s is a member,
     used when `dense_fits(d, n)`.  `has[b]` has bit s set iff s contains
     coordinate b + 1, and `lacks[b]` iff it does not, within 2^d bits.
     A (U,V)-step is then a few operations on whole ints: the movers are
-    the members with U, without V, whose partner s - u + v is absent."""
+    the members with U, without V, whose partner s - u + v is absent,
+    and each lowers the potential, the sum of the members, by u - v."""
 
     __slots__ = ("d", "bits", "has", "lacks")
+    target = "family"
 
     def __init__(self, fam: VertexFamily):
         d = self.d = fam.d
@@ -356,110 +342,133 @@ class _Bitmap:
         self.has = has
         self.lacks = [p >> (1 << b) for b, p in enumerate(has)]
 
-    def movers(self, u: int, v: int) -> int:
-        """The members the (U,V)-step would move, as a bitmap."""
-        cand = self.bits & self.has[u.bit_length() - 1]
-        if v:
-            cand &= self.lacks[v.bit_length() - 1]
-        return cand ^ (cand & self.bits << (u - v))   # partner absent
-
     def fails(self) -> bool:
         """The member test of the module docstring on every member at
         once: a down-step or an adjacent swap step has a mover."""
-        return (any(self.movers(1 << b, 0) for b in range(self.d))
-                or any(self.movers(1 << b, 1 << b - 1)
-                       for b in range(1, self.d)))
+        bits, lacks = self.bits, self.lacks
+        for b, has in enumerate(self.has):
+            cand = bits & has                   # the members holding b + 1
+            if cand & bits << (1 << b) != cand:
+                return True                     # a shadow is absent
+            if b:
+                cand &= lacks[b - 1]            # ... and lacking b
+                if cand & bits << (1 << b - 1) != cand:
+                    return True                 # a shift to b is absent
+        return False
+
+    def step(self, u: int, v: int) -> int:
+        bits = self.bits
+        cand = bits & self.has[u.bit_length() - 1]
+        if v:
+            cand &= self.lacks[v.bit_length() - 1]
+        movers = cand ^ (cand & bits << (u - v))     # partner absent
+        if movers:
+            self.bits = bits ^ movers ^ movers >> (u - v)
+        return (u - v) * movers.bit_count()
 
     def potential(self) -> int:
-        """The sum of the members' masks."""
         return sum((self.bits & has).bit_count() << b
                    for b, has in enumerate(self.has))
 
-    def sweep(self, log: list) -> None:
-        """Apply every step of `_uv_steps(d)` in place, logging each that
-        moves a member, and certify the drop of the potential."""
-        pot = start = self.potential()
-        for u, v in _uv_steps(self.d):
-            movers = self.movers(u, v)
-            if movers:
-                drop = (u - v) * movers.bit_count()
-                assert drop > 0, "compression potential failed to drop"
-                self.bits ^= movers | movers >> (u - v)
-                pot -= drop
-                log.append(CompressionStep("uv", u=u, v=v, target="family"))
-        assert pot == self.potential(), "compression potential out of step"
-        assert pot < start, "a sweep of a state that fails moved nothing"
-
-    def members(self) -> frozenset[int]:
-        """The members, read from the binary digits of `bits`."""
+    def result(self) -> VertexFamily:
+        """The family, read from the binary digits of `bits`."""
         digits = format(self.bits, "b")[::-1]     # bit 0 first
         out = []
         s = digits.find("1")
         while s >= 0:
             out.append(s)
             s = digits.find("1", s + 1)
-        return frozenset(out)
+        return VertexFamily(self.d, frozenset(out))
+
+
+class _Members:
+    """A family as a set of members, used when 2^d > 2nd; its potential
+    is the sum of the members."""
+
+    target = "family"
+
+    def __init__(self, fam: VertexFamily):
+        self.d, self.members = fam.d, set(fam.members)
+
+    def fails(self) -> bool:
+        members = self.members
+        return any(_member_fails(s, members) for s in members)
+
+    def step(self, u: int, v: int) -> int:
+        return (u - v) * len(_movers(self.members, u, v))
+
+    def potential(self) -> int:
+        return sum(self.members)
+
+    def result(self) -> VertexFamily:
+        return VertexFamily(self.d, frozenset(self.members))
+
+
+class _Weights:
+    """A weight vector as a dict, with the rank of each value it holds.
+
+    A step only permutes the weights, an absent vertex weighing 0, so the
+    ranks are fixed here.  Every slot's charge of the rank of 0 is the
+    same for every arrangement, so 0 is ranked 0 and the potential sums
+    the support only.  A swap moves the larger weight of a pair to the
+    mask smaller by u - v, lowering the potential by u - v times the gap
+    of their ranks."""
+
+    target = "vector"
+
+    def __init__(self, vec: WeightVector):
+        self.d, self.weights = vec.d, dict(vec.weights)
+        values = sorted({0.0, *self.weights.values()})
+        zero = values.index(0.0)
+        self.rank = {w: r - zero for r, w in enumerate(values)}
+
+    def fails(self) -> bool:
+        """The vector test of the module docstring, on the support: some
+        w(S) exceeds the weight of a shadow or an adjacent shift of S."""
+        get = self.weights.get
+        for s, w in self.weights.items():
+            if w > 0:
+                if any(get(t, 0.0) < w for t in _prerequisites(s)):
+                    return True
+            elif any(get(t, 0.0) > w for t in _successors(s, self.d)):
+                return True
+        return False
+
+    def step(self, u: int, v: int) -> int:
+        return (u - v) * sum(self.rank[big] - self.rank[small] for big, small
+                             in _swap_weights(self.weights, u, v))
+
+    def potential(self) -> int:
+        return sum(s * self.rank[w] for s, w in self.weights.items())
+
+    def result(self) -> WeightVector:
+        return WeightVector(self.d, self.weights)
+
+
+def _state(x):
+    """The private state, of the module docstring, that compresses x."""
+    if isinstance(x, VertexFamily):
+        return _Bitmap(x) if dense_fits(x.d, len(x)) else _Members(x)
+    if isinstance(x, WeightVector):
+        return _Weights(x)
+    raise TypeError(f"expected VertexFamily or WeightVector, got {type(x)}")
 
 
 def is_compressed(x) -> tuple[bool, CompressionStep | None]:
     """True iff x is a fixpoint of every down-step and swap step.
 
     On False, also returns the first violating step, swap steps first, so
-    a shift violation like {{2}} reports C_{2,1}.
+    a shift violation like {{2}} reports C_{2,1}.  A step that moves
+    nothing is a no-op, so the first step that reports a drop is the
+    answer.
     """
-    if isinstance(x, VertexFamily):
-        if dense_fits(x.d, len(x)):
-            bitmap = _Bitmap(x)
-            if not bitmap.fails():
-                return True, None
-            moves = bitmap.movers
-        else:
-            if not any(_member_fails(s, x.members) for s in x.members):
-                return True, None
-            moves = lambda u, v: _movers(set(x.members), u, v)
-        target = "family"
-    elif isinstance(x, WeightVector):
-        if not _vector_fails(x.weights, x.d):
-            return True, None
-        moves = lambda u, v: _swap_weights(dict(x.weights), u, v)
-        target = "vector"
-    else:
-        raise TypeError(f"expected VertexFamily or WeightVector, got {type(x)}")
+    state = _state(x)
+    if not state.fails():
+        return True, None
     steps = _uv_steps(x.d)              # d down-steps, then swap steps
-    return False, next(CompressionStep("uv", u=u, v=v, target=target)
-                       for u, v in steps[x.d:] + steps[:x.d] if moves(u, v))
-
-
-def _vector_potential(weights: dict[int, float]):
-    """The potential of every arrangement of `weights`' values: sum of
-    mask * weight-rank over all 2^d slots, less its constant part,
-    without visiting the slots.
-
-    A step only permutes the weights, an absent vertex weighing 0, so the
-    ranks are computed once, here.  Every slot's charge of the rank of 0
-    is the same for every arrangement, so only each support vertex's
-    excess over that rank is summed.  Any conditional swap that moves a
-    strictly larger weight to a smaller mask strictly lowers the
-    potential.
-    """
-    values = sorted({0.0} | set(weights.values()))
-    zero_rank = values.index(0.0)
-    rank = {w: r - zero_rank for r, w in enumerate(values)}
-    return lambda state: sum(s * rank[w] for s, w in state.items())
-
-
-def _sweep(state, d: int, step, potential, target: str, log) -> None:
-    """Apply every step of `_uv_steps(d)` to `state` in place with
-    `step`, logging each that changes it and asserting that
-    `potential(state)` drops, and that the sweep changes something."""
-    pot = start = potential(state)
-    for u, v in _uv_steps(d):
-        if step(state, u, v):
-            log.append(CompressionStep("uv", u=u, v=v, target=target))
-            npot = potential(state)
-            assert npot < pot, "compression potential failed to drop"
-            pot = npot
-    assert pot < start, "a sweep of a state that fails moved nothing"
+    return False, next(CompressionStep("uv", u=u, v=v, target=state.target)
+                       for u, v in steps[x.d:] + steps[:x.d]
+                       if state.step(u, v))
 
 
 def fully_compress(x):
@@ -468,32 +477,22 @@ def fully_compress(x):
     Returns (compressed object, list of steps that changed it).  The
     schedule sweeps singleton down-steps in increasing coordinate, then
     swap steps in lexicographic order, while the object fails its local
-    test: a member of a family fails the member test, or a vector
-    weight exceeds a shadow's or an adjacent shift's.  A sweep of an
-    object that fails moves something, so no sweep is silent.  A
-    strictly decreasing integer potential certifies termination; its
-    drop is asserted per changing step and per sweep, and on a bitmap
-    the running potential is checked once per sweep against the one
-    read from the state.
+    test, so no sweep is silent.  The potential of the module docstring
+    certifies termination: every sweep lowers it strictly.
     """
+    state = _state(x)
     log: list[CompressionStep] = []
-    if isinstance(x, VertexFamily):
-        if dense_fits(x.d, len(x)):
-            bitmap = _Bitmap(x)
-            while bitmap.fails():
-                bitmap.sweep(log)
-            return VertexFamily(x.d, bitmap.members()), log
-        members = set(x.members)
-        while any(_member_fails(s, members) for s in members):
-            _sweep(members, x.d, _movers, sum, "family", log)
-        return VertexFamily(x.d, frozenset(members)), log
-    if not isinstance(x, WeightVector):
-        raise TypeError(f"expected VertexFamily or WeightVector, got {type(x)}")
-    weights = dict(x.weights)
-    potential = _vector_potential(weights)
-    while _vector_fails(weights, x.d):
-        _sweep(weights, x.d, _swap_weights, potential, "vector", log)
-    return WeightVector(x.d, weights), log
+    while state.fails():
+        pot = start = state.potential()
+        for u, v in _uv_steps(x.d):
+            drop = state.step(u, v)
+            if drop:
+                assert drop > 0, "compression potential failed to drop"
+                pot -= drop
+                log.append(CompressionStep("uv", u=u, v=v, target=state.target))
+        assert pot == state.potential(), "compression potential out of step"
+        assert pot < start, "a sweep of a state that fails moved nothing"
+    return state.result(), log
 
 
 # ---------------------------------------------------------------------------

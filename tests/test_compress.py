@@ -20,6 +20,7 @@ from cubespectra.compress import (
     parse_vector,
     rayleigh,
 )
+from cubespectra.compress import _Bitmap, _Members, _Weights, _state, _uv_steps
 from cubespectra.core import (
     VertexFamily,
     dense_fits,
@@ -476,3 +477,54 @@ def test_weight_vector_rejects_non_finite_weights(bad):
         WeightVector(3, {1: bad, 2: 1.0, 4: math.inf})
     with pytest.raises(ValueError, match="must be finite"):
         parse_vector(f"d=2\n01 1.0\n11 {bad}\n")
+
+
+def _states():
+    """An uncompressed object for each state compression runs on: a
+    family on each side of `dense_fits` (the bitmap when 2^d <= 2nd, the
+    member set otherwise), and vectors whose weights tie often."""
+    rnd = random.Random(23)
+    out = []
+    for d, n, kind in ((6, 20, _Bitmap), (10, 52, _Bitmap),
+                       (10, 51, _Members), (12, 40, _Members)):
+        fam = VertexFamily(d, frozenset(rnd.sample(range(1 << d), n)))
+        out.append(pytest.param(fam, kind, id=f"{kind.__name__}-d{d}-n{n}"))
+    for d in (4, 7):
+        support = rnd.sample(range(1 << d), 3 << d - 2)
+        vec = WeightVector(d, {s: float(rnd.randint(-2, 2)) for s in support})
+        out.append(pytest.param(vec, _Weights, id=f"vector-d{d}"))
+    return out
+
+
+@pytest.mark.parametrize("x, kind", _states())
+def test_every_step_reports_the_potential_drop_it_causes(x, kind):
+    state = _state(x)
+    assert type(state) is kind
+    moved = 0
+    for _ in range(3):      # later sweeps meet partly compressed states
+        for u, v in _uv_steps(x.d):
+            before, pot = state.result(), state.potential()
+            drop = state.step(u, v)
+            assert drop == pot - state.potential()
+            assert (drop == 0) == (state.result() == before)
+            moved += drop > 0
+    assert moved
+
+
+@pytest.mark.parametrize("x, kind", _states())
+def test_a_misreported_drop_trips_the_sweep_check(monkeypatch, x, kind):
+    honest = kind.step
+
+    def overstated(self, u, v):
+        drop = honest(self, u, v)
+        return drop and drop + 1
+
+    monkeypatch.setattr(kind, "step", overstated)
+    with pytest.raises(AssertionError, match="potential out of step"):
+        fully_compress(x)
+
+
+@pytest.mark.parametrize("compress", [is_compressed, fully_compress])
+def test_compression_rejects_neither_family_nor_vector(compress):
+    with pytest.raises(TypeError, match="expected VertexFamily or WeightVector"):
+        compress(frozenset({0, 1}))
