@@ -30,7 +30,7 @@ EXIT_USAGE = 64
 
 
 def _family_brief(fam: core.VertexFamily) -> list[str]:
-    return [core.vertex_str(v) for v in fam.sorted_members()]
+    return core._vertex_strs(fam.sorted_members())
 
 
 def _spectral_record(result: spectral.SpectralResult) -> dict:
@@ -243,18 +243,27 @@ def _oracle_max(n: int, d: int) -> float:
 
 
 def _cmd_partition(args):
+    if args.i is not None and args.preset not in ("sec52", "sec6"):
+        raise ValueError("--i needs --preset sec52 or --preset sec6")
+    if args.alpha is not None and args.preset != "sec52":
+        raise ValueError("--alpha needs --preset sec52")
+    i = 1 if args.i is None else args.i
+    alpha = 1.0 if args.alpha is None else args.alpha
     fam = core.read_family(args.family)
     if len(fam) == 0:
         raise ValueError("family is empty")
     if args.preset == "sec51":
         eps = search.epsilon_preset_sqrt(fam.d, len(fam))
     elif args.preset == "sec52":
-        eps = search.epsilon_preset_log_ratio(fam.d, args.i, args.alpha)
+        eps = search.epsilon_preset_log_ratio(fam.d, i, alpha)
     elif args.preset == "sec6":
-        eps = search.epsilon_preset_fixed_radius(fam.d, args.i)
+        eps = search.epsilon_preset_fixed_radius(fam.d, i)
     else:
         eps = args.epsilon
     cert = search.build_partition(fam, eps)
+    # every certificate vertex is a member, so one batch names them all
+    verts = core.cube_graph(fam).vertices.tolist()
+    names = dict(zip(verts, core._vertex_strs(verts)))
     record = {
         "d": cert.d,
         "epsilon": cert.epsilon,
@@ -262,10 +271,10 @@ def _cmd_partition(args):
         "degenerate": cert.degenerate,
         "caps": list(cert.caps),
         "core_sizes": [len(c) for c in cert.cores],
-        "blocks": [sorted(core.vertex_str(v) for v in b) for b in cert.blocks()],
+        "blocks": [sorted(names[v] for v in b) for b in cert.blocks()],
         "star_balls": [
-            {"round": k, "center": core.vertex_str(s),
-             "members": sorted(core.vertex_str(v) for v in ball)}
+            {"round": k, "center": names[s],
+             "members": sorted(names[v] for v in ball)}
             for (k, s), ball in sorted(cert.star_balls.items())
         ],
     }
@@ -390,9 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--epsilon", type=float)
     source.add_argument("--preset", choices=["sec51", "sec52", "sec6"])
-    p.add_argument("--i", type=int, default=1,
-                   help="radius parameter for the ratio presets")
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--i", type=int, default=None,
+                   help="radius parameter of the sec52 and sec6 presets "
+                        "(default 1)")
+    p.add_argument("--alpha", type=float, default=None,
+                   help="scale of the sec52 preset (default 1.0)")
     p.add_argument("--verify", action="store_true")
 
     p = sub("regen-goldens", help="regenerate a golden table")
@@ -432,7 +443,7 @@ def run(argv=None) -> int:
     try:
         code, payload = _HANDLERS[args.command](args)
         _emit(payload, args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECONDITION
     return code

@@ -460,8 +460,19 @@ def is_compressed(x) -> tuple[bool, CompressionStep | None]:
     On False, also returns the first violating step, swap steps first, so
     a shift violation like {{2}} reports C_{2,1}.  A step that moves
     nothing is a no-op, so the first step that reports a drop is the
-    answer.
+    answer.  A family's verdict is kept on the family object, so a
+    later call on that object runs no test.
     """
+    if not isinstance(x, VertexFamily):
+        return _verdict(x)
+    verdict = x.__dict__.get("_compressed")
+    if verdict is None:
+        verdict = _verdict(x)
+        object.__setattr__(x, "_compressed", verdict)
+    return verdict
+
+
+def _verdict(x) -> tuple[bool, CompressionStep | None]:
     state = _state(x)
     if not state.fails():
         return True, None

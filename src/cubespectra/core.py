@@ -12,6 +12,7 @@ every set operation stays a single-word bit operation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -58,6 +59,39 @@ def vertex_str(mask: int) -> str:
     return "{" + ",".join(names) + "}"
 
 
+@functools.cache
+def _byte_names() -> np.ndarray:
+    """names[p, b]: ",j" for each element j of the byte value b placed at
+    byte p of a mask, in ascending order."""
+    names = np.empty((8, 256), dtype=object)
+    for p in range(8):
+        for b in range(256):
+            names[p, b] = "".join(f",{8 * p + e + 1}" for e in range(8)
+                                  if b >> e & 1)
+    return names
+
+
+# Below this many masks, numpy's per-call overhead in `_vertex_strs`
+# costs more than a `vertex_str` call per mask.
+_BATCH_NAMES = 32
+
+
+def _vertex_strs(masks) -> list[str]:
+    """`vertex_str` of each of `masks`, a sequence of Python ints in
+    0..2^64 - 1, with one table lookup per byte of a mask in place of
+    one step per element."""
+    if len(masks) < _BATCH_NAMES:
+        return list(map(vertex_str, masks))
+    masks = np.asarray(masks, dtype=np.uint64)
+    rows = masks.astype("<u8").view(np.uint8).reshape(-1, 8)
+    width = max(1, (int(masks.max()).bit_length() + 7) // 8)
+    names = _byte_names()
+    joined = names[0, rows[:, 0]]
+    for p in range(1, width):
+        joined = joined + names[p, rows[:, p]]
+    return ["{" + s[1:] + "}" for s in joined.tolist()]
+
+
 def binary_compare(s: int, t: int) -> int:
     """Return -1/0/1 ordering S against T in the binary order.
 
@@ -74,7 +108,9 @@ class VertexFamily:
     """A set of vertices inside Q_d: the vertex set of an induced subgraph.
 
     Treat instances as immutable values; `members` is a frozenset of
-    bitmasks, every member a subset of {1..d}.
+    bitmasks, every member a subset of {1..d}.  `cube_graph` and
+    `is_compressed` keep their results on the instance, outside its
+    fields, so equality and hashing ignore them.
     """
 
     d: int
@@ -196,10 +232,19 @@ def flip_csr(rows: np.ndarray, cols: np.ndarray, d: int, n: int):
 
 
 def cube_graph(fam: VertexFamily) -> CubeGraph:
-    """Build the induced subgraph of `fam` from every vertex's d bit-flips."""
-    verts = np.fromiter(fam.members, dtype=np.uint64, count=len(fam))
-    verts.sort()
-    return CubeGraph(verts, *flip_csr(verts, verts, fam.d, len(fam)))
+    """The induced subgraph of `fam`, built from every vertex's d
+    bit-flips on the first call and kept on the family object, so every
+    later call on that object returns the same graph.  Its arrays are
+    read-only, since all those callers share them."""
+    g = fam.__dict__.get("_graph")
+    if g is None:
+        verts = np.fromiter(fam.members, dtype=np.uint64, count=len(fam))
+        verts.sort()
+        g = CubeGraph(verts, *flip_csr(verts, verts, fam.d, len(fam)))
+        for array in (g.vertices, g.indptr, g.indices):
+            array.flags.writeable = False
+        object.__setattr__(fam, "_graph", g)
+    return g
 
 
 def induced_edges(fam: VertexFamily) -> tuple[tuple[int, int], ...]:

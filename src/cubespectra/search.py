@@ -44,21 +44,28 @@ The partition machinery decomposes a compressed family into blocks of
 small internal degree plus disjoint star-ball neighbourhoods around
 "heavy" centers, where heaviness is measured by surviving iterated
 epsilon*d-degree cores.  `verify_partition` re-checks every finite
-assertion of that construction and reports witnesses for failures.
+assertion of that construction and reports witnesses for failures.  Both
+run on arrays over the family's one `CubeGraph`, which `cube_graph`
+keeps on the family object: a certificate's sets are ascending uint64
+arrays or boolean masks over the graph's sorted vertices, a round's
+shell is one grid of bit-ors looked up with `searchsorted`, and the
+decompositions of every vertex of a round are counted at once.  The
+family's member test runs once per family object too: `is_compressed`
+keeps its verdict there, and the verifier passes the family itself
+where a covered set is the whole family.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 from math import inf, log, sqrt
 
 import numpy as np
 
 from .compress import _prerequisites, is_compressed
-from .core import (MAX_DIM, VertexFamily, cube_graph, elements_of,
-                   star_family, vertex_str)
+from .core import MAX_DIM, VertexFamily, cube_graph, star_family, vertex_str
 from .spectral import DEFAULT_TOL, _bipartite_stack, lambda1, star_value
 
 # Steps on B B^T before the screen's Collatz-Wielandt ratio: more steps
@@ -345,22 +352,62 @@ class PartitionCertificate:
         return [self.shells[k] | self.centers[k] for k in range(self.depth + 1)]
 
 
-def _members_within(members, cap_elements: int) -> frozenset[int]:
-    allowed = (1 << cap_elements) - 1
-    return frozenset(s for s in members if s & ~allowed == 0)
+def _sorted_masks(part) -> np.ndarray:
+    """The vertices of the set `part` as an ascending uint64 array."""
+    masks = np.fromiter(part, dtype=np.uint64, count=len(part))
+    masks.sort()
+    return masks
 
 
-def _round(members, d: int, k: int, shells, centers, caps, covered):
-    """Shell and centers of round k >= 1, derived from round k - 1's
-    shell, centers and covered set and from the caps."""
-    bits = [1 << t for t in range(caps[k - 1], d)]   # elements above m_{k-1}
-    shell = frozenset({s | b for s in shells[k - 1] | centers[k - 1]
-                       for b in bits if not s & b} & members)
-    return shell, _members_within(members, caps[k]) - covered[k - 1] - shell
+def _found(table: np.ndarray, masks: np.ndarray):
+    """The `searchsorted` positions of `masks` in the ascending array
+    `table`, and whether each mask is there."""
+    pos = np.searchsorted(table, masks)
+    if not len(table):
+        return pos, np.zeros(len(masks), dtype=bool)
+    return pos, table[np.minimum(pos, len(table) - 1)] == masks
+
+
+def _mask(verts: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Boolean mask over the ascending `verts` of the entries in `masks`;
+    a mask outside `verts` has no entry, so it is dropped."""
+    pos, found = _found(verts, masks)
+    out = np.zeros(len(verts), dtype=bool)
+    out[pos[found]] = True
+    return out
+
+
+def _members_within(verts: np.ndarray, cap: int) -> int:
+    """How many of the ascending masks `verts` have no element above
+    `cap`: they are a prefix."""
+    top = np.uint64((1 << min(cap, 64)) - 1)
+    return int(np.searchsorted(verts, top, side="right"))
+
+
+def _round(verts: np.ndarray, d: int, previous: np.ndarray, low: int,
+           cap: int, covered: np.ndarray):
+    """Shell and centers of a round k >= 1, as boolean masks over the
+    ascending family masks `verts`.  The shell is every member S + {e}
+    with S a vertex of round k - 1 (`previous`, an ascending array) and
+    e not in S an element above m_{k-1} = `low`: one grid of bit-ors, one
+    `searchsorted`.  The centers are the members with no element above
+    m_k = `cap` outside the shell and outside `covered`, round k - 1's
+    covered set as a mask over `verts`."""
+    bits = np.left_shift(np.uint64(1), np.arange(low, d, dtype=np.uint64))
+    grown = previous[:, None] | bits
+    shell = _mask(verts, grown[grown != previous[:, None]])
+    center = np.arange(len(verts)) < _members_within(verts, cap)
+    return shell, center & ~covered & ~shell
 
 
 def build_partition(fam: VertexFamily, epsilon: float) -> PartitionCertificate:
-    """Construct the heavy-vertex partition of a compressed family."""
+    """Construct the heavy-vertex partition of a compressed family.
+
+    The construction runs on the family's `CubeGraph`: the cores peel
+    boolean masks over its sorted vertices, each round's shell and
+    centers are masks found with one `searchsorted` (`_round`), and a
+    star ball takes the later shells' vertices at the right Hamming
+    distance from its center with one `bitwise_count` per shell."""
     if not 0 < epsilon < inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     ok, violation = is_compressed(fam)
@@ -368,6 +415,7 @@ def build_partition(fam: VertexFamily, epsilon: float) -> PartitionCertificate:
         raise ValueError(f"family is not compressed: violates {violation.describe()}")
     d, members = fam.d, fam.members
     g = cube_graph(fam)
+    verts = g.vertices
     threshold = epsilon * d
 
     cores = [frozenset(members)]
@@ -383,7 +431,7 @@ def build_partition(fam: VertexFamily, epsilon: float) -> PartitionCertificate:
         if not survivors.any():
             break
         live = survivors
-        cores.append(frozenset(g.vertices[live].tolist()))
+        cores.append(frozenset(verts[live].tolist()))
 
     if degenerate:
         cores = cores[:1]
@@ -392,9 +440,9 @@ def build_partition(fam: VertexFamily, epsilon: float) -> PartitionCertificate:
     deepest = cores[depth] if cores[depth] else members
     caps = [max([t for t in range(1, d + 1) if (1 << (t - 1)) in deepest],
                 default=1)]
-    shells = [frozenset()]
-    centers = [_members_within(members, caps[0])]
-    covered = [centers[0]]
+    rounds = [(np.zeros(len(verts), dtype=bool),
+               np.arange(len(verts)) < _members_within(verts, caps[0]))]
+    covered = [rounds[0][1]]
 
     for k in range(1, depth + 1):
         probe = sum(1 << caps[j] for j in range(k))   # elements m_j + 1
@@ -402,20 +450,26 @@ def build_partition(fam: VertexFamily, epsilon: float) -> PartitionCertificate:
         caps.append(max([t for t in range(caps[k - 1] + 2, d + 1)
                          if probe | (1 << (t - 1)) in core],
                         default=caps[k - 1] + 1))
-
-        shell, center = _round(members, d, k, shells, centers, caps, covered)
-        shells.append(shell)
-        centers.append(center)
+        shell, center = _round(verts, d, verts[np.logical_or(*rounds[-1])],
+                               caps[k - 1], caps[k], covered[-1])
+        rounds.append((shell, center))
         covered.append(covered[-1] | shell | center)
 
-    star_balls = {(k, s): frozenset({s} | {t for j in range(1, depth - k + 1)
-                                          for t in shells[k + j]
-                                          if (s ^ t).bit_count() == j})
-                  for k in range(depth) for s in centers[k]}
+    star_balls = {}
+    for k in range(depth):
+        later = [(j, verts[rounds[k + j][0]]) for j in range(1, depth - k + 1)]
+        for s in verts[rounds[k][1]].tolist():
+            near = [shell[np.bitwise_count(shell ^ np.uint64(s)) == j]
+                    for j, shell in later]
+            star_balls[(k, s)] = frozenset([s, *np.concatenate(near).tolist()])
+
+    def sets(part_masks):
+        return tuple(frozenset(verts[m].tolist()) for m in part_masks)
 
     return PartitionCertificate(
         d, epsilon, depth, degenerate, tuple(cores), tuple(caps),
-        tuple(shells), tuple(centers), tuple(covered), star_balls,
+        sets(s for s, _ in rounds), sets(c for _, c in rounds), sets(covered),
+        star_balls,
     )
 
 
@@ -441,27 +495,69 @@ class PartitionReport:
         return [c for c in list(self.parts) + list(self.assertions) if not c.passed]
 
 
-def _unique_representation(s: int, k: int, cert: PartitionCertificate):
-    """List decompositions S = T + extras with T a center of round j and
-    the sorted extras above the caps m_j..m_{k-1}, one each: the extras
-    are k - j of S's own elements, so T is looked up, not searched for.
-    Every extra is at least the first, so only elements above m_j count."""
-    bits = [(e, 1 << (e - 1)) for e in elements_of(s)] if k else []
-    hits = []
+# _ABOVE[f]: the mask of the elements above f, for f = 0..64
+_ABOVE = np.array([((1 << 64) - 1) >> f << f for f in range(65)],
+                  dtype=np.uint64)
+
+
+def _next_extras(owner: np.ndarray, rest: np.ndarray, floor: np.ndarray):
+    """Every way to take one more extra e from row i: an element of
+    rest[i] above floor[i].  Returns owner[i], rest[i] - {e} and e for
+    each way, taking the least element left from every row at once."""
+    left = rest & _ABOVE[np.minimum(floor, 64)]
+    ways = [(owner[:0], rest[:0], floor[:0])]
+    while (keep := left != 0).any():
+        owner, rest, left = owner[keep], rest[keep], left[keep]
+        low = left ^ (left & (left - np.uint64(1)))    # the least element left
+        e = np.bitwise_count(low - np.uint64(1)).astype(np.int64) + 1
+        ways.append((owner, rest ^ low, e))
+        left = left ^ low
+    return tuple(map(np.concatenate, zip(*ways)))
+
+
+def _representation_counts(verts: np.ndarray, k: int, caps,
+                           centers) -> np.ndarray:
+    """For each of the masks `verts`, its number of decompositions
+    S = T + extras with T a center of a round j <= k (`centers[j]`, an
+    ascending array) and the k - j extras, in ascending order, above the
+    caps m_j, ..., m_{k-1}, one each.  The extras are elements of S, so
+    the choices of every S are made together, one extra per step, each
+    above its cap and the extra before it (`_next_extras`), and every
+    S - extras is looked up in centers[j] with one `searchsorted`."""
+    counts = np.zeros(len(verts), dtype=np.int64)
     for j in range(k + 1):
-        if not cert.centers[j]:
+        if not len(centers[j]):
             continue
-        high = [b for b in bits if b[0] > cert.caps[j]]
-        for extras in combinations(high, k - j):
-            t = s
-            for (e, bit), cap in zip(extras, cert.caps[j:]):
-                if e <= cap:
-                    break
-                t ^= bit
-            else:
-                if t in cert.centers[j]:
-                    hits.append((j, t))
-    return hits
+        owner, rest = np.arange(len(verts)), verts
+        last = np.zeros(len(verts), dtype=np.int64)     # the previous extra
+        for cap in caps[j:k]:
+            owner, rest, last = _next_extras(owner, rest,
+                                             np.maximum(last, cap))
+        counts += np.bincount(owner[_found(centers[j], rest)[1]],
+                              minlength=len(verts))
+    return counts
+
+
+def _first_difference(a: np.ndarray, b: np.ndarray) -> int | None:
+    """The least vertex in exactly one of the ascending arrays `a` and
+    `b`, each without repeats, or None when they are equal."""
+    if np.array_equal(a, b):
+        return None
+    return int(min([*a[~_found(b, a)[1]][:1].tolist(),
+                    *b[~_found(a, b)[1]][:1].tolist()]))
+
+
+def _reads(parts: list[np.ndarray]):
+    """The ascending arrays `parts` read one after another: every vertex
+    read, the index of its part, and for each read the position of the
+    last earlier read of the same vertex, -1 for a first read."""
+    flat = np.concatenate([np.zeros(0, dtype=np.uint64), *parts])
+    part = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+    order = np.argsort(flat, kind="stable")
+    same = flat[order[1:]] == flat[order[:-1]]
+    before = np.full(len(flat), -1)
+    before[order[1:][same]] = order[:-1][same]
+    return flat, part, before
 
 
 def _first(name: str, witnesses) -> CheckOutcome:
@@ -483,62 +579,71 @@ def verify_partition(cert: PartitionCertificate, fam: VertexFamily) -> Partition
     witnesses and fails with the first one.  Part 2 re-derives the shells
     and centers from the certificate's own caps, so a vertex moved
     between blocks or covered sets is caught with a witness.
+
+    The checks run on arrays: each set of the certificate becomes an
+    ascending uint64 array, looked up in the sorted vertices of the
+    family's `CubeGraph` with `searchsorted`.  That graph is the one
+    `build_partition` built on the same family object, and the family's
+    member test ran there too: `covered_sets_compressed` passes `fam`
+    itself where covered[k] is the family, so its verdict is reused.
     """
     members = fam.members
     d, depth = cert.d, cert.depth
     g = cube_graph(fam)
-    verts = g.vertices.tolist()
-    index = {v: k for k, v in enumerate(verts)}
+    verts = g.vertices
     rows = np.repeat(np.arange(len(verts)), np.diff(g.indptr))
     limit = cert.epsilon * d
 
     def mask(part) -> np.ndarray:
         # a certificate vertex outside the family has no row, so no edges
-        out = np.zeros(len(verts), dtype=bool)
-        out[[index[v] for v in part if v in index]] = True
-        return out
+        return _mask(verts, _sorted_masks(part))
 
     def edge_str(e) -> str:
-        return f"{vertex_str(verts[rows[e]])}-{vertex_str(verts[g.indices[e]])}"
+        ends = verts[[rows[e], g.indices[e]]].tolist()
+        return "-".join(map(vertex_str, ends))
 
-    blocks = list(map(mask, cert.blocks()))
+    block_sets = [_sorted_masks(b) for b in cert.blocks()]
+    blocks = [_mask(verts, b) for b in block_sets]
     degrees = [int(g.neighbour_sums(b)[b].max(initial=0)) for b in blocks]
 
     def ball_overlaps():
-        seen: dict[int, tuple[int, int]] = {}
-        for key, ball in sorted(cert.star_balls.items()):
-            for v in sorted(ball):
-                if v not in members:
-                    yield f"{vertex_str(v)} in ball {key} is not a vertex"
-                if v in seen:
-                    yield f"{vertex_str(v)} lies in balls {seen[v]} and {key}"
-                seen[v] = key
+        keys = sorted(cert.star_balls)
+        flat, part, before = _reads([_sorted_masks(cert.star_balls[key])
+                                     for key in keys])
+        outside = ~_found(verts, flat)[1]
+        for p in np.flatnonzero(outside | (before >= 0))[:1]:
+            v, key = vertex_str(int(flat[p])), keys[part[p]]
+            if outside[p]:
+                yield f"{v} in ball {key} is not a vertex"
+            else:
+                yield f"{v} lies in balls {keys[part[before[p]]]} and {key}"
 
     def block_mismatches():
-        placed: dict[int, int] = {}
-        for k, block in enumerate(cert.blocks()):
-            for v in sorted(block):
-                if v in placed:
-                    yield f"{vertex_str(v)} lies in blocks {placed[v]} and {k}"
-                placed[v] = k
-        if stray := members ^ set(placed):
-            yield f"block union mismatch at {vertex_str(min(stray))}"
+        flat, part, before = _reads(block_sets)
+        for p in np.flatnonzero(before >= 0)[:1]:
+            yield (f"{vertex_str(int(flat[p]))} lies in blocks "
+                   f"{part[before[p]]} and {part[p]}")
+        # past this point no vertex lies in two blocks
+        if (stray := _first_difference(np.sort(flat), verts)) is not None:
+            yield f"block union mismatch at {vertex_str(stray)}"
         if cert.shells[0]:
             yield "round 0 has a nonempty shell"
-        elif cert.centers[0] != _members_within(members, cert.caps[0]):
+        elif not np.array_equal(_sorted_masks(cert.centers[0]),
+                                verts[:_members_within(verts, cert.caps[0])]):
             yield "round 0 centers are not the low-element vertices"
         for k in range(1, depth + 1):
-            shell, center = _round(members, d, k, cert.shells, cert.centers,
-                                   cert.caps, cert.covered)
-            if shell != cert.shells[k]:
-                bad = min(shell ^ cert.shells[k])
-                yield f"round {k} shell mismatch at {vertex_str(bad)}"
-            if center != cert.centers[k]:
-                bad = min(center ^ cert.centers[k])
-                yield f"round {k} centers mismatch at {vertex_str(bad)}"
+            shell, center = _round(
+                verts, d, _sorted_masks(cert.shells[k - 1] | cert.centers[k - 1]),
+                cert.caps[k - 1], cert.caps[k], mask(cert.covered[k - 1]))
+            for name, got, given in (("shell", shell, cert.shells[k]),
+                                     ("centers", center, cert.centers[k])):
+                bad = _first_difference(verts[got], _sorted_masks(given))
+                if bad is not None:
+                    yield f"round {k} {name} mismatch at {vertex_str(bad)}"
         for k, cov in enumerate(cert.covered):
-            if stray := cov ^ {v for v, j in placed.items() if j <= k}:
-                yield f"covered[{k}] mismatch at {vertex_str(min(stray))}"
+            placed = np.sort(flat[part <= k])
+            if (stray := _first_difference(_sorted_masks(cov), placed)) is not None:
+                yield f"covered[{k}] mismatch at {vertex_str(stray)}"
 
     def edge_mismatches():
         # parts hold only family edges, so a mismatch is an uncovered edge
@@ -554,16 +659,18 @@ def verify_partition(cert: PartitionCertificate, fam: VertexFamily) -> Partition
                 yield f"block {k} has internal degree {deg} > {limit:.3f}"
 
     def ambiguous_vertices():
-        for k in range(depth + 1):
-            for s in sorted(cert.shells[k] | cert.centers[k]):
-                hits = _unique_representation(s, k, cert)
-                if len(hits) != 1:
-                    yield (f"{vertex_str(s)} in round {k} has {len(hits)} "
-                           "decompositions")
+        centers = [_sorted_masks(c) for c in cert.centers]
+        for k, block in enumerate(block_sets):
+            counts = _representation_counts(block, k, cert.caps, centers)
+            for p in np.flatnonzero(counts != 1)[:1]:
+                yield (f"{vertex_str(int(block[p]))} in round {k} has "
+                       f"{counts[p]} decompositions")
 
     def uncompressed_covers():
         for k in range(depth + 1):
-            ok, violation = is_compressed(VertexFamily(d, cert.covered[k]))
+            cov = cert.covered[k]
+            same = d == fam.d and cov == members
+            ok, violation = is_compressed(fam if same else VertexFamily(d, cov))
             if not ok:
                 yield f"covered[{k}] violates {violation.describe()}"
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cubespectra import cli
+from cubespectra import cli, compress, core, spectral
 from cubespectra.core import format_family, hamming_ball, initial_segment
 
 
@@ -130,6 +130,104 @@ def test_partition_command(tmp_path, capsys):
         ["partition", "--family", str(path), "--preset", "sec51", "--verify"],
         capsys)
     assert json.loads(out)["verified"] is True
+
+
+_NEEDS_I = "--i needs --preset sec52 or --preset sec6"
+_NEEDS_ALPHA = "--alpha needs --preset sec52"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--preset", "sec51", "--i", "5"], _NEEDS_I),
+    (["--epsilon", "0.5", "--i", "2"], _NEEDS_I),
+    (["--epsilon", "0.5", "--alpha", "3"], _NEEDS_ALPHA),
+    (["--preset", "sec51", "--alpha", "3"], _NEEDS_ALPHA),
+    (["--preset", "sec6", "--alpha", "7"], _NEEDS_ALPHA),
+], ids=["sec51-i", "epsilon-i", "epsilon-alpha", "sec51-alpha", "sec6-alpha"])
+def test_partition_rejects_options_its_source_ignores(tmp_path, capsys, argv,
+                                                      message):
+    path = tmp_path / "ball.fam"
+    path.write_text(format_family(hamming_ball(8, 1)))
+    code, out, err = run_cli(["partition", "--family", str(path), *argv],
+                             capsys)
+    assert code == cli.EXIT_PRECONDITION and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_partition_presets_read_i_and_alpha(tmp_path, capsys):
+    path = tmp_path / "ball.fam"
+    path.write_text(format_family(hamming_ball(24, 3)))
+
+    def epsilon(*argv):
+        code, out, _ = run_cli(["partition", "--family", str(path), *argv],
+                               capsys)
+        assert code == 0
+        return json.loads(out)["epsilon"]
+
+    assert epsilon("--preset", "sec52") == epsilon(
+        "--preset", "sec52", "--i", "1", "--alpha", "1.0") == 1 / math.log(24)
+    assert epsilon("--preset", "sec52", "--i", "3", "--alpha", "2") == (
+        2 / math.log(8))
+    assert epsilon("--preset", "sec6") == epsilon("--preset", "sec6",
+                                                  "--i", "1")
+    assert epsilon("--preset", "sec6", "--i", "3") == 6 * 24 ** -0.25
+
+
+def _count_graph_builds_and_member_tests(monkeypatch, members):
+    """Count calls of `core.flip_csr`, however imported, and runs of the
+    member test on a family equal to `members`."""
+    counts = {"flip_csr": 0, "member_test": 0}
+    flip_csr, state = core.flip_csr, compress._state
+
+    def counted_flip_csr(*args):
+        counts["flip_csr"] += 1
+        return flip_csr(*args)
+
+    def counted_state(x):
+        counts["member_test"] += x.members == members
+        return state(x)
+
+    monkeypatch.setattr(core, "flip_csr", counted_flip_csr)
+    monkeypatch.setattr(spectral, "flip_csr", counted_flip_csr)
+    monkeypatch.setattr(compress, "_state", counted_state)
+    return counts
+
+
+def test_partition_verify_builds_one_graph_and_tests_members_once(
+        tmp_path, capsys, monkeypatch):
+    fam = hamming_ball(8, 1)     # depth 1 at epsilon 0.5: covered[1] is fam
+    path = tmp_path / "ball.fam"
+    path.write_text(format_family(fam))
+    counts = _count_graph_builds_and_member_tests(monkeypatch, fam.members)
+    code, out, _ = run_cli(["partition", "--family", str(path), "--epsilon",
+                            "0.5", "--verify"], capsys)
+    assert code == 0 and json.loads(out)["verified"] is True
+    assert counts == {"flip_csr": 1, "member_test": 1}
+
+
+def test_bounds_shares_one_graph_among_its_helpers(tmp_path, capsys,
+                                                   monkeypatch):
+    # above 64 vertices lambda1 builds its bipartite blocks with flip_csr
+    fam = initial_segment(300, 16)
+    path = tmp_path / "init.fam"
+    path.write_text(format_family(fam))
+    counts = _count_graph_builds_and_member_tests(monkeypatch, fam.members)
+    code, _, _ = run_cli(["bounds", "--family", str(path)], capsys)
+    assert code == 0 and counts["flip_csr"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["lambda1", "--family", "DIR"],
+    ["lambda1", "--family", "F", "--output", "DIR"],
+    ["compress", "--in", "F", "--kind", "family", "--log", "DIR"],
+    ["search", "--n", "4", "--d", "4", "--out", "DIR"],
+], ids=["input", "output", "log", "search-out"])
+def test_a_directory_in_place_of_a_file_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "ball.fam"
+    path.write_text(format_family(hamming_ball(8, 1)))
+    argv = [{"F": str(path), "DIR": str(tmp_path)}.get(a, a) for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == cli.EXIT_PRECONDITION and out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 @pytest.mark.parametrize("epsilon", ["nan", "inf"])

@@ -20,6 +20,7 @@ from conftest import (
 )
 from cubespectra.core import (
     VertexFamily,
+    _vertex_strs,
     binary_compare,
     cube_graph,
     degree_profile,
@@ -187,6 +188,18 @@ def test_cube_graph_against_pair_scan(fam):
     assert edges == brute_edges(fam.members, fam.d)
 
 
+def test_cube_graph_is_built_once_per_family_and_read_only():
+    fam = hamming_ball(6, 2)
+    g = cube_graph(fam)
+    assert cube_graph(fam) is g
+    assert cube_graph(VertexFamily(6, fam.members)) is not g
+    for array in (g.vertices, g.indptr, g.indices):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        g.vertices.sort()
+
+
 def test_ball_edge_count_formula():
     for d in range(1, 11):
         for i in range(d + 1):
@@ -220,6 +233,16 @@ def test_vertex_str_matches_element_formatting(mask):
         assert vertex_str(m) == _vertex_str_of_elements(m)
     with pytest.raises(ValueError, match="negative"):
         vertex_str(-1 - mask)
+
+
+def test_batch_vertex_formatting_matches_vertex_str():
+    rng = random.Random(41)
+    masks = [0, *(1 << j for j in range(64)), (1 << 64) - 1,
+             *(rng.getrandbits(rng.randint(1, 64)) for _ in range(3000))]
+    # one batch of them all, and lists short enough to name one by one
+    for part in (masks, masks[:65], masks[:31], masks[:1], []):
+        expected = [vertex_str(m) for m in part]
+        assert _vertex_strs(part) == expected
 
 
 def _elements_bit_by_bit(mask):

@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubespectra.compress import _prerequisites, fully_compress
-from cubespectra.core import (VertexFamily, hamming_ball, initial_segment,
-                              vertex_of, vertex_str)
+from cubespectra.core import (VertexFamily, cube_graph, hamming_ball,
+                              initial_segment, vertex_of, vertex_str)
 from cubespectra.search import (
     PartitionCertificate,
-    _unique_representation,
+    _mask,
+    _representation_counts,
+    _round,
+    _sorted_masks,
     build_partition,
     enumerate_compressed,
     epsilon_preset_fixed_radius,
@@ -271,11 +274,13 @@ def test_unique_representation_matches_center_scan():
         doubled = replace(cert, centers=(cert.centers[0],
                                          cert.centers[1] | cert.shells[1],
                                          *cert.centers[2:]))
+        verts = _sorted_masks(fam.members)
         for c in (cert, doubled):
+            centers = [_sorted_masks(t) for t in c.centers]
             for k in range(c.depth + 1):
-                for s in fam.members:
-                    assert (sorted(_unique_representation(s, k, c))
-                            == sorted(_scan_representations(s, k, c)))
+                counts = _representation_counts(verts, k, c.caps, centers)
+                assert counts.tolist() == [
+                    len(_scan_representations(s, k, c)) for s in verts.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -485,3 +490,38 @@ def test_array_partition_matches_set_reference(data):
     for name, passed, witness in outcomes:
         if name in expected:
             assert (passed, witness) == expected[name], name
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_array_rounds_and_counts_match_set_references(data):
+    # the families and corruptions of the test above; the counts are
+    # also taken on vertices outside the family
+    d = data.draw(st.integers(5, 10), label="d")
+    generators = data.draw(st.lists(st.sets(st.integers(1, d), max_size=4),
+                                    min_size=1, max_size=3), label="generators")
+    fam = VertexFamily(d, _compressed_closure(map(vertex_of, generators)))
+    epsilon = data.draw(st.sampled_from([0.5, 0.6, 0.7, "sec51"]), label="epsilon")
+    if epsilon == "sec51":
+        epsilon = epsilon_preset_sqrt(d, len(fam))
+    cert = build_partition(fam, epsilon)
+    corruptions = _corruptions(cert, fam)
+    kind = data.draw(st.sampled_from(list(corruptions)), label="corruption")
+    cert = corruptions[kind](data.draw)
+    verts = cube_graph(fam).vertices
+    for k in range(1, cert.depth + 1):
+        previous = _sorted_masks(cert.shells[k - 1] | cert.centers[k - 1])
+        covered = _mask(verts, _sorted_masks(cert.covered[k - 1]))
+        shell, center = _round(verts, d, previous, cert.caps[k - 1],
+                               cert.caps[k], covered)
+        got = tuple(frozenset(verts[m].tolist()) for m in (shell, center))
+        assert got == _reference_round(fam.members, d, k, cert.shells,
+                                       cert.centers, cert.caps, cert.covered)
+    outside = data.draw(st.sets(st.integers(0, (1 << d) - 1), max_size=8),
+                        label="outside")
+    probe = _sorted_masks(fam.members | outside)
+    centers = [_sorted_masks(c) for c in cert.centers]
+    for k in range(cert.depth + 1):
+        counts = _representation_counts(probe, k, cert.caps, centers)
+        assert counts.tolist() == [len(_scan_representations(s, k, cert))
+                                   for s in probe.tolist()]
