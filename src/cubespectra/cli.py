@@ -262,7 +262,7 @@ def _cmd_partition(args):
         eps = args.epsilon
     cert = search.build_partition(fam, eps)
     # every certificate vertex is a member, so one batch names them all
-    verts = core.cube_graph(fam).vertices.tolist()
+    verts = fam.vertices.tolist()
     names = dict(zip(verts, core._vertex_strs(verts)))
     record = {
         "d": cert.d,

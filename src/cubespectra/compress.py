@@ -113,23 +113,20 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class CompressionStep:
-    """One applied (U,V)-step, kind 'uv'; `target` records whether the
-    step acted on a set or a vector."""
+    """One applied (U,V)-step; `target` records whether the step acted on
+    a set or a vector."""
 
-    kind: str
-    u: int | None = None
-    v: int | None = None
-    target: str = ""
+    kind = "uv"
+    u: int
+    v: int
+    target: str
 
     def describe(self) -> str:
         return f"C_{{{vertex_str(self.u)},{vertex_str(self.v)}}}"
 
     def to_json(self) -> dict:
-        record = {"kind": self.kind, "U": vertex_str(self.u),
-                  "V": vertex_str(self.v)}
-        if self.target:
-            record["target"] = self.target
-        return record
+        return {"kind": self.kind, "U": vertex_str(self.u),
+                "V": vertex_str(self.v), "target": self.target}
 
 
 def _swap_weights(weights: dict[int, float], u: int, v: int) -> list:
@@ -477,7 +474,7 @@ def _verdict(x) -> tuple[bool, CompressionStep | None]:
     if not state.fails():
         return True, None
     steps = _uv_steps(x.d)              # d down-steps, then swap steps
-    return False, next(CompressionStep("uv", u=u, v=v, target=state.target)
+    return False, next(CompressionStep(u, v, state.target)
                        for u, v in steps[x.d:] + steps[:x.d]
                        if state.step(u, v))
 
@@ -500,7 +497,7 @@ def fully_compress(x):
             if drop:
                 assert drop > 0, "compression potential failed to drop"
                 pot -= drop
-                log.append(CompressionStep("uv", u=u, v=v, target=state.target))
+                log.append(CompressionStep(u, v, state.target))
         assert pot == state.potential(), "compression potential out of step"
         assert pot < start, "a sweep of a state that fails moved nothing"
     return state.result(), log

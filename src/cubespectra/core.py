@@ -13,7 +13,7 @@ every set operation stays a single-word bit operation.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -103,18 +103,34 @@ def binary_compare(s: int, t: int) -> int:
     return -1 if s < t else 1
 
 
+def _sorted_masks(part) -> np.ndarray:
+    """The vertices of the set `part` as an ascending uint64 array."""
+    masks = np.fromiter(part, dtype=np.uint64, count=len(part))
+    masks.sort()
+    return masks
+
+
+def _found(table: np.ndarray, masks: np.ndarray):
+    """The `searchsorted` positions of `masks`, an array of any shape, in
+    the ascending array `table`, and whether each mask is there."""
+    pos = np.searchsorted(table, masks)
+    if not len(table):
+        return pos, np.zeros(pos.shape, dtype=bool)
+    return pos, table[np.minimum(pos, len(table) - 1)] == masks
+
+
 @dataclass(frozen=True)
 class VertexFamily:
     """A set of vertices inside Q_d: the vertex set of an induced subgraph.
 
     Treat instances as immutable values; `members` is a frozenset of
-    bitmasks, every member a subset of {1..d}.  `cube_graph` and
-    `is_compressed` keep their results on the instance, outside its
-    fields, so equality and hashing ignore them.
+    bitmasks, every member a subset of {1..d}.  `vertices`, `cube_graph`
+    and `is_compressed` keep their results on the instance, outside its
+    fields, so equality, hashing and `replace` ignore them.
     """
 
     d: int
-    members: frozenset[int] = field(default_factory=frozenset)
+    members: frozenset[int]
 
     def __post_init__(self):
         if not 1 <= self.d <= MAX_DIM:
@@ -140,9 +156,17 @@ class VertexFamily:
     def __iter__(self):
         return iter(self.sorted_members())
 
+    @functools.cached_property
+    def vertices(self) -> np.ndarray:
+        """The members as a read-only ascending uint64 array, built once
+        (`parse_family` hands over the one it sorted)."""
+        verts = _sorted_masks(self.members)
+        verts.flags.writeable = False
+        return verts
+
     def sorted_members(self) -> tuple[int, ...]:
         """Members in binary order (ascending bitmask value)."""
-        return tuple(sorted(self.members))
+        return tuple(self.vertices.tolist())
 
     def max_set_size(self) -> int:
         return max((v.bit_count() for v in self.members), default=0)
@@ -210,8 +234,7 @@ def flip_csr(rows: np.ndarray, cols: np.ndarray, d: int, n: int):
     `rows` is).  When `dense_fits(d, n)`, an int32 table of 2^d entries
     holding each column's position or -1 looks every flip up directly.
     Otherwise each row of flips is sorted and looked up in `cols` with
-    one `searchsorted`, and a flip that lands on an equal entry is an
-    edge."""
+    `_found`: one `searchsorted`, and a flip found there is an edge."""
     bits = np.left_shift(np.uint64(1), np.arange(d, dtype=np.uint64))
     if dense_fits(d, n):
         table = np.full(1 << d, -1, dtype=np.int32)
@@ -222,9 +245,7 @@ def flip_csr(rows: np.ndarray, cols: np.ndarray, d: int, n: int):
         indices = pos[hit].astype(np.int64)
     else:
         # sorting each row of flips makes each column list come out sorted
-        flips = np.sort(rows[:, None] ^ bits, axis=1)
-        pos = np.searchsorted(cols, flips)
-        hit = cols[np.minimum(pos, len(cols) - 1)] == flips
+        pos, hit = _found(cols, np.sort(rows[:, None] ^ bits, axis=1))
         indices = pos[hit]
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(hit.sum(axis=1), out=indptr[1:])
@@ -232,17 +253,15 @@ def flip_csr(rows: np.ndarray, cols: np.ndarray, d: int, n: int):
 
 
 def cube_graph(fam: VertexFamily) -> CubeGraph:
-    """The induced subgraph of `fam`, built from every vertex's d
-    bit-flips on the first call and kept on the family object, so every
-    later call on that object returns the same graph.  Its arrays are
-    read-only, since all those callers share them."""
+    """The induced subgraph of `fam` on its `vertices`, built from every
+    vertex's d bit-flips on the first call and kept on the family object,
+    so every later call on that object returns the same graph.  Its
+    arrays are read-only, since all those callers share them."""
     g = fam.__dict__.get("_graph")
     if g is None:
-        verts = np.fromiter(fam.members, dtype=np.uint64, count=len(fam))
-        verts.sort()
-        g = CubeGraph(verts, *flip_csr(verts, verts, fam.d, len(fam)))
-        for array in (g.vertices, g.indptr, g.indices):
-            array.flags.writeable = False
+        g = CubeGraph(fam.vertices,
+                      *flip_csr(fam.vertices, fam.vertices, fam.d, len(fam)))
+        g.indptr.flags.writeable = g.indices.flags.writeable = False
         object.__setattr__(fam, "_graph", g)
     return g
 
@@ -283,7 +302,8 @@ def degree_profile(fam: VertexFamily) -> DegreeProfile:
 # duplicate vertices are errors.  `parse_family` checks and decodes all
 # vertex lines at once as one (m, d + 1) byte array, of a canonical file's
 # own bytes or of its normalised lines; only when a check fails on these
-# does it read the lines one by one, to name the first bad line.
+# does it read the lines one by one, to name the first bad line.  Its
+# sort of the masks, made to find duplicates, is the family's `vertices`.
 _CANONICAL_HEADERS = {f"d={d}": d for d in range(1, MAX_DIM + 1)}
 
 
@@ -324,8 +344,8 @@ def _raise_first_bad_line(body: list[str], d: int) -> None:
 
 
 def _decode_lines(buffer: bytes, offset: int, d: int) -> np.ndarray | None:
-    """The masks of the lines of buffer[offset:], or None unless every
-    line is d characters of 0/1 ending in '\\n' and no two are equal."""
+    """The ascending masks of the lines of buffer[offset:], or None unless
+    every line is d characters of 0/1 ending in '\\n' and no two are equal."""
     raw = np.frombuffer(buffer, dtype=np.uint8, offset=offset)
     m, rest = divmod(len(raw), d + 1)
     rows = raw[:m * (d + 1)].reshape(m, d + 1)
@@ -334,8 +354,8 @@ def _decode_lines(buffer: bytes, offset: int, d: int) -> np.ndarray | None:
         return None
     packed = np.zeros((m, 8), dtype=np.uint8)
     packed[:, :(d + 7) // 8] = np.packbits(digits, axis=1, bitorder="little")
-    masks = packed.view("<u8").ravel()
-    return None if (np.diff(np.sort(masks)) == 0).any() else masks
+    masks = np.sort(packed.view("<u8").ravel())
+    return None if (np.diff(masks) == 0).any() else masks
 
 
 def parse_family(text: str) -> VertexFamily:
@@ -358,7 +378,10 @@ def parse_family(text: str) -> VertexFamily:
         if masks is None:
             _raise_first_bad_line(lines[1:], d)
             raise AssertionError("a vertex line failed a check no line fails")
-    return VertexFamily(d, frozenset(masks.tolist()))
+    fam = VertexFamily(d, frozenset(masks.tolist()))
+    masks.flags.writeable = False
+    fam.__dict__["vertices"] = masks   # the family's own sort, handed over
+    return fam
 
 
 def format_family(fam: VertexFamily) -> str:

@@ -47,8 +47,8 @@ epsilon*d-degree cores.  `verify_partition` re-checks every finite
 assertion of that construction and reports witnesses for failures.  Both
 run on arrays over the family's one `CubeGraph`, which `cube_graph`
 keeps on the family object: a certificate's sets are ascending uint64
-arrays or boolean masks over the graph's sorted vertices, a round's
-shell is one grid of bit-ors looked up with `searchsorted`, and the
+arrays or boolean masks over the family's `vertices`, a round's shell
+is one grid of bit-ors looked up with `searchsorted`, and the
 decompositions of every vertex of a round are counted at once.  The
 family's member test runs once per family object too: `is_compressed`
 keeps its verdict there, and the verifier passes the family itself
@@ -65,7 +65,8 @@ from math import inf, log, sqrt
 import numpy as np
 
 from .compress import _prerequisites, is_compressed
-from .core import MAX_DIM, VertexFamily, cube_graph, star_family, vertex_str
+from .core import (MAX_DIM, VertexFamily, _found, _sorted_masks, cube_graph,
+                   star_family, vertex_str)
 from .spectral import DEFAULT_TOL, _bipartite_stack, lambda1, star_value
 
 # Steps on B B^T before the screen's Collatz-Wielandt ratio: more steps
@@ -352,22 +353,6 @@ class PartitionCertificate:
         return [self.shells[k] | self.centers[k] for k in range(self.depth + 1)]
 
 
-def _sorted_masks(part) -> np.ndarray:
-    """The vertices of the set `part` as an ascending uint64 array."""
-    masks = np.fromiter(part, dtype=np.uint64, count=len(part))
-    masks.sort()
-    return masks
-
-
-def _found(table: np.ndarray, masks: np.ndarray):
-    """The `searchsorted` positions of `masks` in the ascending array
-    `table`, and whether each mask is there."""
-    pos = np.searchsorted(table, masks)
-    if not len(table):
-        return pos, np.zeros(len(masks), dtype=bool)
-    return pos, table[np.minimum(pos, len(table) - 1)] == masks
-
-
 def _mask(verts: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Boolean mask over the ascending `verts` of the entries in `masks`;
     a mask outside `verts` has no entry, so it is dropped."""
@@ -581,35 +566,33 @@ def verify_partition(cert: PartitionCertificate, fam: VertexFamily) -> Partition
     between blocks or covered sets is caught with a witness.
 
     The checks run on arrays: each set of the certificate becomes an
-    ascending uint64 array, looked up in the sorted vertices of the
-    family's `CubeGraph` with `searchsorted`.  That graph is the one
-    `build_partition` built on the same family object, and the family's
-    member test ran there too: `covered_sets_compressed` passes `fam`
-    itself where covered[k] is the family, so its verdict is reused.
+    ascending uint64 array once, at the top, looked up in the family's
+    `vertices` with `searchsorted`.  The family's `CubeGraph` is the one
+    `build_partition` built on the same family object, and its member
+    test ran there too: `covered_sets_compressed` passes `fam` itself
+    where covered[k] is the family, so its verdict is reused.
     """
-    members = fam.members
     d, depth = cert.d, cert.depth
     g = cube_graph(fam)
-    verts = g.vertices
+    verts = fam.vertices
     rows = np.repeat(np.arange(len(verts)), np.diff(g.indptr))
     limit = cert.epsilon * d
-
-    def mask(part) -> np.ndarray:
-        # a certificate vertex outside the family has no row, so no edges
-        return _mask(verts, _sorted_masks(part))
+    cores, shells, centers, covered, block_sets = (
+        [_sorted_masks(part) for part in parts] for parts in
+        (cert.cores, cert.shells, cert.centers, cert.covered, cert.blocks()))
+    keys = sorted(cert.star_balls)
+    balls = [_sorted_masks(cert.star_balls[key]) for key in keys]
 
     def edge_str(e) -> str:
         ends = verts[[rows[e], g.indices[e]]].tolist()
         return "-".join(map(vertex_str, ends))
 
-    block_sets = [_sorted_masks(b) for b in cert.blocks()]
+    # a certificate vertex outside the family has no row, so no edges
     blocks = [_mask(verts, b) for b in block_sets]
     degrees = [int(g.neighbour_sums(b)[b].max(initial=0)) for b in blocks]
 
     def ball_overlaps():
-        keys = sorted(cert.star_balls)
-        flat, part, before = _reads([_sorted_masks(cert.star_balls[key])
-                                     for key in keys])
+        flat, part, before = _reads(balls)
         outside = ~_found(verts, flat)[1]
         for p in np.flatnonzero(outside | (before >= 0))[:1]:
             v, key = vertex_str(int(flat[p])), keys[part[p]]
@@ -626,31 +609,30 @@ def verify_partition(cert: PartitionCertificate, fam: VertexFamily) -> Partition
         # past this point no vertex lies in two blocks
         if (stray := _first_difference(np.sort(flat), verts)) is not None:
             yield f"block union mismatch at {vertex_str(stray)}"
-        if cert.shells[0]:
+        if len(shells[0]):
             yield "round 0 has a nonempty shell"
-        elif not np.array_equal(_sorted_masks(cert.centers[0]),
+        elif not np.array_equal(centers[0],
                                 verts[:_members_within(verts, cert.caps[0])]):
             yield "round 0 centers are not the low-element vertices"
         for k in range(1, depth + 1):
-            shell, center = _round(
-                verts, d, _sorted_masks(cert.shells[k - 1] | cert.centers[k - 1]),
-                cert.caps[k - 1], cert.caps[k], mask(cert.covered[k - 1]))
-            for name, got, given in (("shell", shell, cert.shells[k]),
-                                     ("centers", center, cert.centers[k])):
-                bad = _first_difference(verts[got], _sorted_masks(given))
+            shell, center = _round(verts, d, block_sets[k - 1], cert.caps[k - 1],
+                                   cert.caps[k], _mask(verts, covered[k - 1]))
+            for name, got, given in (("shell", shell, shells[k]),
+                                     ("centers", center, centers[k])):
+                bad = _first_difference(verts[got], given)
                 if bad is not None:
                     yield f"round {k} {name} mismatch at {vertex_str(bad)}"
-        for k, cov in enumerate(cert.covered):
+        for k, cov in enumerate(covered):
             placed = np.sort(flat[part <= k])
-            if (stray := _first_difference(_sorted_masks(cov), placed)) is not None:
+            if (stray := _first_difference(cov, placed)) is not None:
                 yield f"covered[{k}] mismatch at {vertex_str(stray)}"
 
     def edge_mismatches():
         # parts hold only family edges, so a mismatch is an uncovered edge
-        covered = np.zeros(len(rows), dtype=bool)
-        for part in [*blocks, *map(mask, cert.star_balls.values())]:
-            covered |= part[rows] & part[g.indices]
-        for e in np.flatnonzero((g.indices > rows) & ~covered)[:1]:
+        hit = np.zeros(len(rows), dtype=bool)
+        for part in [*blocks, *(_mask(verts, ball) for ball in balls)]:
+            hit |= part[rows] & part[g.indices]
+        for e in np.flatnonzero((g.indices > rows) & ~hit)[:1]:
             yield f"edge {edge_str(e)} mismatch"
 
     def heavy_blocks():
@@ -659,7 +641,6 @@ def verify_partition(cert: PartitionCertificate, fam: VertexFamily) -> Partition
                 yield f"block {k} has internal degree {deg} > {limit:.3f}"
 
     def ambiguous_vertices():
-        centers = [_sorted_masks(c) for c in cert.centers]
         for k, block in enumerate(block_sets):
             counts = _representation_counts(block, k, cert.caps, centers)
             for p in np.flatnonzero(counts != 1)[:1]:
@@ -668,26 +649,25 @@ def verify_partition(cert: PartitionCertificate, fam: VertexFamily) -> Partition
 
     def uncompressed_covers():
         for k in range(depth + 1):
-            cov = cert.covered[k]
-            same = d == fam.d and cov == members
-            ok, violation = is_compressed(fam if same else VertexFamily(d, cov))
+            same = d == fam.d and np.array_equal(covered[k], verts)
+            ok, violation = is_compressed(
+                fam if same else VertexFamily(d, cert.covered[k]))
             if not ok:
                 yield f"covered[{k}] violates {violation.describe()}"
 
     def edges_to_later_rounds():
         for k in range(depth + 1):
-            later = set(cert.centers[k + 1]) if k < depth else set()
+            later = _mask(verts, centers[k + 1] if k < depth else verts[:0])
             if k + 2 <= depth:
-                later |= cert.shells[k + 2] | cert.centers[k + 2]
-            leaving = mask(cert.covered[k])[rows] & mask(later)[g.indices]
+                later |= blocks[k + 2]
+            leaving = _mask(verts, covered[k])[rows] & later[g.indices]
             for e in np.flatnonzero(leaving):
                 yield f"edge {edge_str(e)} leaves covered[{k}]"
 
     def blocks_in_earlier_rounds():
-        for k in range(1, depth + 1):
-            if overlap := (cert.shells[k] | cert.centers[k]) & cert.covered[k - 1]:
-                yield (f"{vertex_str(min(overlap))} in round {k} "
-                       f"and covered[{k-1}]")
+        for k, block in enumerate(block_sets[1:], start=1):
+            for v in block[_found(covered[k - 1], block)[1]][:1].tolist():
+                yield f"{vertex_str(v)} in round {k} and covered[{k-1}]"
 
     def loose_caps():
         for k, deg in enumerate(degrees):
@@ -697,10 +677,11 @@ def verify_partition(cert: PartitionCertificate, fam: VertexFamily) -> Partition
 
     def uncovered_cores():
         for k in range(depth + 1):
-            if stray := cert.cores[depth - k] - cert.covered[k]:
-                yield (f"core {depth - k} vertex {vertex_str(min(stray))} "
+            core = cores[depth - k]
+            for v in core[~_found(covered[k], core)[1]][:1].tolist():
+                yield (f"core {depth - k} vertex {vertex_str(v)} "
                        f"not covered by round {k}")
-        if cert.covered[depth] != members:
+        if not np.array_equal(covered[depth], verts):
             yield "final covered set is not all of V(G)"
 
     part1 = _first("star_balls_disjoint", ball_overlaps())

@@ -11,10 +11,10 @@ Three solvers live here:
   their square roots, rounded outward by a margin derived from the sums
   the code performs, are a certified interval in floating point, and
   the iteration stops on its width.  Up to 64 vertices M is dense,
-  formed by an XOR test on the member masks (`_bipartite_stack`, which
-  `search`'s screen stacks for many families at once).  Above that M is
-  applied through sparse B and B^T: the block with the smaller side as
-  rows, from one bit-flip lookup per row, and its transpose.  The
+  formed by an XOR test on the family's `vertices` (`_bipartite_stack`,
+  which `search`'s screen stacks for many families at once).  Above that
+  M is applied through sparse B and B^T: the block with the smaller side
+  as rows, from one bit-flip lookup per row, and its transpose.  The
   iteration starts from a Lanczos Ritz vector (method "lanczos"), which
   leaves it a handful of steps instead of a few hundred; the certificate
   does not depend on the start.
@@ -77,13 +77,13 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
 
     Up to 64 vertices M is dense and the iteration starts from the
     uniform vector (method "power", "dense-small" for one vertex).  Above
-    that M is applied through the sparse B and B^T, built from the masks
-    without a CubeGraph (`_bipartite_blocks`), from the top Ritz vector of
-    a Lanczos run on M (`_lanczos_start`; method "lanczos").  A family
-    without edges gets [0, 0] exactly, with the uniform eigenvector.
-    `iterations` counts the certifying power steps.  The eigenvector is
-    (x, B^T x / ||B^T x||) / sqrt(2) for the last iterate x; its weight
-    dict is built when first read."""
+    that M is applied through the sparse B and B^T, built from the
+    family's `vertices` without a CubeGraph (`_bipartite_blocks`), from
+    the top Ritz vector of a Lanczos run on M (`_lanczos_start`; method
+    "lanczos").  A family without edges gets [0, 0] exactly, with the
+    uniform eigenvector.  `iterations` counts the certifying power
+    steps.  The eigenvector is (x, B^T x / ||B^T x||) / sqrt(2) for the
+    last iterate x; its weight dict is built when first read."""
     if len(fam) == 0:
         raise ValueError("family is empty")
     if not 0 < tol < math.inf:
@@ -94,8 +94,7 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
     # M x.  Sums run in numpy's or scipy's order, not a BLAS kernel's, so
     # the bits of the result do not depend on the kernel the CPU selects.
     if n <= 64:
-        stack, evens, odds = _bipartite_stack(
-            np.array(sorted(fam.members), dtype=np.uint64)[None])
+        stack, evens, odds = _bipartite_stack(fam.vertices[None])
         b, masks = stack[0], np.concatenate((evens[0], odds[0]))
         mat = b @ b.T   # small integers: exact on every kernel
         matvec = lambda v: np.add.reduce(mat * v, axis=1)
@@ -190,12 +189,10 @@ def _bipartite_blocks(fam: VertexFamily):
     rows also list their columns in ascending order."""
     from scipy.sparse import csr_matrix
 
-    masks = np.fromiter(fam.members, dtype=np.uint64, count=len(fam))
-    masks.sort()
-    odd = np.bitwise_count(masks) & 1 == 1
-    evens, odds = masks[~odd], masks[odd]
+    odd = np.bitwise_count(fam.vertices) & 1 == 1
+    evens, odds = fam.vertices[~odd], fam.vertices[odd]
     rows, cols = (evens, odds) if len(evens) <= len(odds) else (odds, evens)
-    indptr, indices = flip_csr(rows, cols, fam.d, len(masks))
+    indptr, indices = flip_csr(rows, cols, fam.d, len(fam))
     block = csr_matrix((np.ones(len(indices)), indices, indptr),
                        shape=(len(rows), len(cols)))
     other = block.T.tocsr()
@@ -385,7 +382,7 @@ def _top_eigenvalue_bisect(off: list[float], tol: float,
     return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
-def hamming_lambda1_exact(d: int, i: int, tol: float = 1e-12) -> SpectralResult:
+def hamming_lambda1_exact(d: int, i: int) -> SpectralResult:
     """Exact top eigenvalue of the Hamming ball H_d^i via the level
     reduction, plus the per-level weights of its Perron vector."""
     if not 0 <= i <= d:
@@ -397,7 +394,7 @@ def hamming_lambda1_exact(d: int, i: int, tol: float = 1e-12) -> SpectralResult:
     # (ends truncated); the similarity scaling couples levels j-1 and j by
     # sqrt(j * (d - j + 1)).
     off = [sqrt(j * (d - j + 1)) for j in range(1, i + 1)]
-    lam, halfw = _top_eigenvalue_bisect(off, tol)
+    lam, halfw = _top_eigenvalue_bisect(off, 1e-12)
 
     # level weights from the unsymmetrized recurrence, x_0 = 1
     x = [1.0, lam / d]
@@ -414,12 +411,12 @@ def hamming_lambda1_exact(d: int, i: int, tol: float = 1e-12) -> SpectralResult:
                           level_weights=tuple(x))
 
 
-def limit_constant(i: int, tol: float = 1e-13) -> float:
+def limit_constant(i: int) -> float:
     """The limit of lambda1(H_d^i)/sqrt(d) as d grows, radius i fixed."""
     if i < 1:
         raise ValueError("radius must be >= 1")
     # the d -> infinity system: sub-diagonal j, super-diagonal 1
-    lam, _ = _top_eigenvalue_bisect([sqrt(j) for j in range(1, i + 1)], tol)
+    lam, _ = _top_eigenvalue_bisect([sqrt(j) for j in range(1, i + 1)], 1e-13)
     return lam
 
 
@@ -522,10 +519,6 @@ class PairCycleCounts:
     edge_bound: int
     c4_bound_holds: bool
     edge_bound_holds: bool
-
-    def __iter__(self):
-        yield self.p2
-        yield self.c4
 
 
 def count_p2_c4(fam: VertexFamily) -> PairCycleCounts:

@@ -9,7 +9,8 @@ order, which maximizes it among families of the same size, via the
 binary-decomposition recursion T(n) = T(r) + T(m) + T'(m) where r is the
 top power of two in n and m = n - r.  Two closed-form relaxations cap
 the recursion: (n / 2^k) C(log2 n, k) and the coarser
-(n / 2^k) C(log2 n + 1, k), using the real-argument binomial.
+(n / 2^k) C(log2 n + 1, k), using the real-argument binomial.  Each
+takes the binomial first, and builds 2^k only where it is nonzero.
 """
 
 from __future__ import annotations
@@ -104,14 +105,16 @@ def subcube_bound_smooth(n: int, d_prime: int) -> float:
     family of n vertices."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return n / 2**d_prime * generalized_binomial(log2(n), d_prime)
+    binomial = generalized_binomial(log2(n), d_prime)
+    return n / 2**d_prime * binomial if binomial else 0.0
 
 
 def subcube_bound_integer(n: int, d_prime: int) -> float:
     """(n / 2^k) C(log2 n + 1, k): the coarser ceiling-dimension bound."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return n / 2**d_prime * generalized_binomial(log2(n) + 1.0, d_prime)
+    binomial = generalized_binomial(log2(n) + 1.0, d_prime)
+    return n / 2**d_prime * binomial if binomial else 0.0
 
 
 def recursion_step_slack(alpha: float, beta: float, k: int) -> float:

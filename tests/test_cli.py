@@ -71,6 +71,14 @@ def test_count_cubes_command(capsys):
     assert record["count"] <= record["smooth_bound"] <= record["integer_bound"]
 
 
+def test_count_cubes_bounds_past_log2_n_are_zero(capsys):
+    code, out, _ = run_cli(["count-cubes", "--initial", "10", "--dprime",
+                            "1000000000000", "--bounds"], capsys)
+    record = json.loads(out)
+    assert code == 0 and record["count"] == 0
+    assert record["smooth_bound"] == record["integer_bound"] == 0.0
+
+
 def test_lambda1_and_bounds_commands(tmp_path, capsys):
     path = tmp_path / "square.fam"
     path.write_text(format_family(initial_segment(4, 2)))
@@ -213,6 +221,37 @@ def test_bounds_shares_one_graph_among_its_helpers(tmp_path, capsys,
     counts = _count_graph_builds_and_member_tests(monkeypatch, fam.members)
     code, _, _ = run_cli(["bounds", "--family", str(path)], capsys)
     assert code == 0 and counts["flip_csr"] == 2
+
+
+@pytest.mark.parametrize("n", [40, 300])
+def test_a_read_family_is_never_sorted_again(n, tmp_path, capsys,
+                                             monkeypatch):
+    # 40 vertices take the dense lambda1 path, 300 the sparse one
+    fam = initial_segment(n, 16)
+    canonical = tmp_path / "init.fam"
+    canonical.write_text(format_family(fam))
+    normalised = tmp_path / "init_crlf.fam"
+    normalised.write_bytes(b"# init\r\n" + format_family(fam).replace(
+        "\n", " # v\r\n").encode())
+    calls = []
+    sorted_masks = core._sorted_masks
+
+    def counted(part):
+        calls.append(len(part))
+        return sorted_masks(part)
+
+    monkeypatch.setattr(core, "_sorted_masks", counted)
+    read = core.read_family(canonical)
+    assert read.vertices.tolist() == sorted(fam.members)
+    assert core.read_family(normalised).vertices.tolist() == sorted(fam.members)
+    spectral.lambda1(read)
+    assert core.cube_graph(read).vertices is read.vertices
+    spectral.classic_bounds(read)
+    for path in (canonical, normalised):
+        for command in ("lambda1", "bounds"):
+            code, _, _ = run_cli([command, "--family", str(path)], capsys)
+            assert code == 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv", [

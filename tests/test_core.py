@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from math import comb
 from pathlib import Path
 
@@ -198,6 +199,27 @@ def test_cube_graph_is_built_once_per_family_and_read_only():
             array[0] = 0
     with pytest.raises(ValueError, match="read-only"):
         g.vertices.sort()
+
+
+@pytest.mark.parametrize("fam", [
+    VertexFamily(5, frozenset()),
+    hamming_ball(6, 2),
+    VertexFamily(64, frozenset([0, 3, 1 << 63, (1 << 64) - 2, (1 << 64) - 1])),
+], ids=["empty", "ball", "d64"])
+def test_vertices_is_one_sorted_read_only_array(fam):
+    verts = fam.vertices
+    assert verts.dtype == np.uint64 and verts.tolist() == sorted(fam.members)
+    assert not verts.flags.writeable
+    if len(verts):
+        with pytest.raises(ValueError, match="read-only"):
+            verts[0] = 0
+    assert fam.vertices is verts
+    assert cube_graph(fam).vertices is verts
+    assert fam.sorted_members() == tuple(sorted(fam.members))
+    same = VertexFamily(fam.d, fam.members)
+    assert fam == same and hash(fam) == hash(same)
+    assert same.vertices is not verts and same.vertices.tolist() == verts.tolist()
+    assert replace(fam).vertices is not verts
 
 
 def test_ball_edge_count_formula():

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubespectra import search
 from cubespectra.compress import _prerequisites, fully_compress
 from cubespectra.core import (VertexFamily, cube_graph, hamming_ball,
                               initial_segment, vertex_of, vertex_str)
@@ -223,6 +224,27 @@ def test_certificate_vertex_outside_the_family_is_a_witness(corrupt, outside):
     report = verify_partition(corrupt(build_partition(fam, 0.5)), fam)
     assert not report.all_passed
     assert any(outside in c.witness for c in report.failures())
+
+
+@pytest.mark.parametrize("fam, epsilon", [
+    (hamming_ball(8, 1), 0.5),
+    (hamming_ball(10, 3), epsilon_preset_log_ratio(10, 3)),
+], ids=["ball_8_1", "ball_10_3_sec52"])
+def test_verifier_converts_each_certificate_set_once(fam, epsilon,
+                                                     monkeypatch):
+    # cores, shells, centers, covered sets and blocks: five per round
+    cert = build_partition(fam, epsilon)
+    calls = []
+    sorted_masks = search._sorted_masks
+
+    def counted(part):
+        calls.append(len(part))
+        return sorted_masks(part)
+
+    monkeypatch.setattr(search, "_sorted_masks", counted)
+    assert verify_partition(cert, fam).all_passed
+    assert cert.depth >= 1 and cert.star_balls
+    assert len(calls) == 5 * (cert.depth + 1) + len(cert.star_balls)
 
 
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf])

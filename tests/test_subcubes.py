@@ -1,5 +1,6 @@
 """Subcube counting: exact counts, the recursion, and both bounds."""
 
+import tracemalloc
 from math import comb, isclose, log2
 
 import pytest
@@ -166,6 +167,27 @@ def test_bound_examples():
             assert isclose(subcube_bound_smooth(n, dp), initial_count(n, dp).count)
     with pytest.raises(ValueError):
         subcube_bound_smooth(0, 1)
+
+
+def test_bounds_past_log2_n_build_no_power_of_two():
+    # 2^(10^8) alone is 12.5 MB; the binomial is 0 long before
+    for bound in (subcube_bound_smooth, subcube_bound_integer):
+        tracemalloc.start()
+        try:
+            assert bound(10, 10**8) == 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def test_nonzero_bounds_keep_their_bits():
+    for n in range(1, 300):
+        for dp in range(12):
+            assert subcube_bound_smooth(n, dp) == (
+                n / 2**dp * generalized_binomial(log2(n), dp))
+            assert subcube_bound_integer(n, dp) == (
+                n / 2**dp * generalized_binomial(log2(n) + 1.0, dp))
 
 
 def test_bound_chain():
