@@ -133,15 +133,31 @@ class VertexFamily:
     members: frozenset[int]
 
     def __post_init__(self):
-        if not 1 <= self.d <= MAX_DIM:
-            raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {self.d}")
         if not isinstance(self.members, frozenset):
             object.__setattr__(self, "members", frozenset(self.members))
-        if not self.members:
-            return
-        if min(self.members) < 0:
-            raise ValueError(f"vertex mask {min(self.members)} is negative")
-        top = max(self.members)
+        self._check(min(self.members, default=0), max(self.members, default=0))
+
+    @classmethod
+    def _of_sorted(cls, d: int, masks: np.ndarray) -> VertexFamily:
+        """The family of Q_d whose `vertices` is `masks`, an ascending
+        uint64 array without repeats, which becomes read-only.  Its ends
+        bound every member, so the checks take O(1) in place of
+        `__post_init__`'s passes over the members."""
+        fam = object.__new__(cls)
+        object.__setattr__(fam, "d", d)
+        object.__setattr__(fam, "members", frozenset(masks.tolist()))
+        fam._check(0, int(masks[-1]) if len(masks) else 0)
+        masks.flags.writeable = False
+        fam.__dict__["vertices"] = masks
+        return fam
+
+    def _check(self, low: int, top: int) -> None:
+        """Raise unless d is in 1..MAX_DIM and the least and greatest
+        members, `low` and `top`, are vertices of Q_d."""
+        if not 1 <= self.d <= MAX_DIM:
+            raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {self.d}")
+        if low < 0:
+            raise ValueError(f"vertex mask {low} is negative")
         if top >> self.d:
             raise ValueError(
                 f"vertex {vertex_str(top)} has elements outside 1..{self.d}"
@@ -159,7 +175,7 @@ class VertexFamily:
     @functools.cached_property
     def vertices(self) -> np.ndarray:
         """The members as a read-only ascending uint64 array, built once
-        (`parse_family` hands over the one it sorted)."""
+        (`_of_sorted` keeps the one it is given)."""
         verts = _sorted_masks(self.members)
         verts.flags.writeable = False
         return verts
@@ -232,20 +248,26 @@ def flip_csr(rows: np.ndarray, cols: np.ndarray, d: int, n: int):
     bit", for ascending uint64 masks of an n-vertex family of Q_d; each
     row lists its columns in ascending order (`cols` is empty only if
     `rows` is).  When `dense_fits(d, n)`, an int32 table of 2^d entries
-    holding each column's position or -1 looks every flip up directly.
-    Otherwise each row of flips is sorted and looked up in `cols` with
-    `_found`: one `searchsorted`, and a flip found there is an edge."""
-    bits = np.left_shift(np.uint64(1), np.arange(d, dtype=np.uint64))
+    holding each column's position or -1 looks every flip up directly:
+    the flips are XORed as intp, the table's index type, and `indices`
+    stays int32.  Otherwise each row of flips is sorted and looked up in
+    `cols` with `_found`: one `searchsorted`, and a flip found there is
+    an edge; `indices` are then its intp positions."""
     if dense_fits(d, n):
         table = np.full(1 << d, -1, dtype=np.int32)
         table[cols] = np.arange(len(cols), dtype=np.int32)
+        bits = 1 << np.arange(d, dtype=np.intp)
+        pos = table[rows.astype(np.intp)[:, None] ^ bits]
         # positions follow mask order, so sorted rows are sorted lists
-        pos = np.sort(table[rows[:, None] ^ bits], axis=1)
+        pos.sort(axis=1)
         hit = pos >= 0
-        indices = pos[hit].astype(np.int64)
+        indices = pos[hit]
     else:
+        bits = np.left_shift(np.uint64(1), np.arange(d, dtype=np.uint64))
+        flips = rows[:, None] ^ bits
         # sorting each row of flips makes each column list come out sorted
-        pos, hit = _found(cols, np.sort(rows[:, None] ^ bits, axis=1))
+        flips.sort(axis=1)
+        pos, hit = _found(cols, flips)
         indices = pos[hit]
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(hit.sum(axis=1), out=indptr[1:])
@@ -259,8 +281,9 @@ def cube_graph(fam: VertexFamily) -> CubeGraph:
     arrays are read-only, since all those callers share them."""
     g = fam.__dict__.get("_graph")
     if g is None:
-        g = CubeGraph(fam.vertices,
-                      *flip_csr(fam.vertices, fam.vertices, fam.d, len(fam)))
+        indptr, indices = flip_csr(fam.vertices, fam.vertices, fam.d, len(fam))
+        g = CubeGraph(fam.vertices, indptr,
+                      indices.astype(np.int64, copy=False))
         g.indptr.flags.writeable = g.indices.flags.writeable = False
         object.__setattr__(fam, "_graph", g)
     return g
@@ -345,20 +368,28 @@ def _raise_first_bad_line(body: list[str], d: int) -> None:
 
 def _decode_lines(buffer: bytes, offset: int, d: int) -> np.ndarray | None:
     """The ascending masks of the lines of buffer[offset:], or None unless
-    every line is d characters of 0/1 ending in '\\n' and no two are equal."""
+    every line is d characters of 0/1 ending in '\\n' and no two are equal.
+    Each line's digits, zero-padded to the 64 bits of a mask, go into one
+    (m, 64) array, packed by one flat `np.packbits` and viewed as uint64:
+    packing along rows this short is several times slower."""
     raw = np.frombuffer(buffer, dtype=np.uint8, offset=offset)
     m, rest = divmod(len(raw), d + 1)
     rows = raw[:m * (d + 1)].reshape(m, d + 1)
-    digits = rows[:, :d] - np.uint8(ord("0"))
+    bits = np.zeros((m, 64), dtype=np.uint8)
+    digits = np.subtract(rows[:, :d], np.uint8(ord("0")), out=bits[:, :d])
     if rest or not (digits <= 1).all() or (rows[:, d] != ord("\n")).any():
         return None
-    packed = np.zeros((m, 8), dtype=np.uint8)
-    packed[:, :(d + 7) // 8] = np.packbits(digits, axis=1, bitorder="little")
-    masks = np.sort(packed.view("<u8").ravel())
+    masks = np.packbits(bits, bitorder="little").view("<u8")
+    masks.sort()
     return None if (np.diff(masks) == 0).any() else masks
 
 
 def parse_family(text: str) -> VertexFamily:
+    """The family of a family file's text (format above).  The masks
+    come out of `_decode_lines` sorted and checked, below 2^d by
+    construction, so `VertexFamily._of_sorted` builds the family from
+    them without another pass over its members and keeps their array
+    as its `vertices`."""
     # A canonical file, 'd=<int>' and lines of d characters of 0/1 each
     # ending in '\n', is decoded as its bytes; 'replace' encodes each
     # non-ASCII character as one '?' byte, so bytes and characters agree.
@@ -378,10 +409,7 @@ def parse_family(text: str) -> VertexFamily:
         if masks is None:
             _raise_first_bad_line(lines[1:], d)
             raise AssertionError("a vertex line failed a check no line fails")
-    fam = VertexFamily(d, frozenset(masks.tolist()))
-    masks.flags.writeable = False
-    fam.__dict__["vertices"] = masks   # the family's own sort, handed over
-    return fam
+    return VertexFamily._of_sorted(d, masks)
 
 
 def format_family(fam: VertexFamily) -> str:

@@ -240,13 +240,14 @@ def _lanczos_steps(matvec, n: int):
     after a beta_j of 0.  A yielded q_j is never written to again."""
     q_prev = np.zeros(n)
     q = np.full(n, 1.0 / sqrt(n))
+    tmp = np.empty(n)   # each product in turn, in place of a temporary
     beta = 0.0
     while True:
         w = matvec(q)
-        w -= beta * q_prev
-        alpha = float(np.add.reduce(w * q))
-        w -= alpha * q
-        beta = sqrt(float(np.add.reduce(w * w)))
+        w -= np.multiply(beta, q_prev, out=tmp)
+        alpha = float(np.add.reduce(np.multiply(w, q, out=tmp)))
+        w -= np.multiply(alpha, q, out=tmp)
+        beta = sqrt(float(np.add.reduce(np.multiply(w, w, out=tmp))))
         yield q, alpha, beta
         if beta == 0.0:
             return
@@ -281,9 +282,9 @@ def _lanczos_start(matvec, n: int) -> np.ndarray:
             if (beta * abs(s[-1]) <= _LANCZOS_RESIDUAL * theta
                     or k == _LANCZOS_MAX_STEPS):
                 break
-    x = np.zeros(n)
+    x, tmp = np.zeros(n), np.empty(n)
     for c, q in zip(s, basis):
-        x += c * q
+        x += np.multiply(c, q, out=tmp)
     x = np.abs(x)
     return x / sqrt(np.add.reduce(x * x))
 
@@ -483,7 +484,9 @@ def walk_trace_bound(fam: VertexFamily, k: int) -> float:
     entries of A^k, which takes k - 1 sparse int64 products.  An entry of
     A^k counts k-walks, so it is at most D^k for the largest degree D;
     the products are exact while D^k < 2^63, and outside that domain this
-    raises ValueError.  The squares are summed as Python ints.
+    raises ValueError.  The squares are summed in int64 where exact, else
+    as Python ints: each is at most D^2k, so an int64 dot product of the
+    nnz entries with themselves cannot overflow while nnz D^2k < 2^63.
     """
     from scipy.sparse import csr_matrix
 
@@ -500,7 +503,10 @@ def walk_trace_bound(fam: VertexFamily, k: int) -> float:
     power = adj
     for _ in range(k - 1):
         power = power @ adj
-    total = sum(c * c for c in power.data.tolist())
+    if len(power.data) * top ** (2 * k) < 1 << 63:
+        total = int(np.dot(power.data, power.data))
+    else:
+        total = sum(c * c for c in power.data.tolist())
     assert total % 2 == 0, "closed-walk count of a bipartite graph is even"
     return _root_of_int(total // 2, 2 * k)
 

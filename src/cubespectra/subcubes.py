@@ -5,18 +5,18 @@ every subcube has a unique top corner, and in a down-set every corner
 lies below it.  Other families go through a level join: a subcube (b, D),
 b + S for S in D, lies in F iff (b, D - x) and (b + x, D - x) do, x = max D.
 `initial_count` computes the count for the initial segment of the binary
-order, which maximizes it among families of the same size, via the
+order, which maximizes it among families of the same size, from the
 binary-decomposition recursion T(n) = T(r) + T(m) + T'(m) where r is the
-top power of two in n and m = n - r.  Two closed-form relaxations cap
-the recursion: (n / 2^k) C(log2 n, k) and the coarser
-(n / 2^k) C(log2 n + 1, k), using the real-argument binomial.  Each
-takes the binomial first, and builds 2^k only where it is nonzero.
+top power of two in n and m = n - r, run as a loop over the digits of n
+from the lowest up.  Two closed-form relaxations cap the recursion:
+(n / 2^k) C(log2 n, k) and the coarser (n / 2^k) C(log2 n + 1, k), using
+the real-argument binomial.  Each takes the binomial first, and builds
+2^k only where it is nonzero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, log2
 
 from .core import VertexFamily
@@ -58,21 +58,24 @@ def _level_join(members: frozenset[int], d: int, d_prime: int) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
 def _initial_count(n: int, d_prime: int) -> int:
-    if d_prime == 0:
-        return n
-    if n == 0:
+    """T(r + m) = T(r) + T(m) + T'(m), T' one dimension lower, for a
+    power of two r above m, as one loop over the binary digits of n from
+    the lowest up: counts[j] is T at dimension j of m, the digits of n
+    taken so far.  A power of two r = 2^e is a cube of dimension e, with
+    C(e, j) 2^(e-j) subcubes of dimension j, and none above e."""
+    if d_prime and d_prime >= n.bit_length():   # 2^d_prime > n vertices
         return 0
-    if n & (n - 1) == 0:            # power of two: a cube of dimension log2 n
-        k = n.bit_length() - 1
-        if d_prime > k:
-            return 0
-        return comb(k, d_prime) * (n >> d_prime)
-    r = 1 << (n.bit_length() - 1)   # top binary digit
-    m = n - r
-    return (_initial_count(r, d_prime) + _initial_count(m, d_prime)
-            + _initial_count(m, d_prime - 1))
+    counts = [0] * (d_prime + 1)
+    m = 0
+    while m != n:
+        r = (n - m) & (m - n)           # the lowest digit of n above m
+        e = r.bit_length() - 1
+        for j in range(min(d_prime, e), 0, -1):
+            counts[j] += comb(e, j) * (r >> j) + counts[j - 1]
+        m += r
+        counts[0] = m
+    return counts[d_prime]
 
 
 def initial_count(n: int, d_prime: int) -> SubcubeCount:

@@ -76,6 +76,21 @@ def brute_count_subcubes(members, d: int, d_prime: int) -> int:
     return count
 
 
+def down_set_count(n: int, k: int) -> int:
+    """sum over v < n of C(|v|, k): the k-subcube count of the initial
+    segment of size n, a down-set, from the digits of n down.  The v that
+    agree with n above one of its digits 2^e, where p digits of n are
+    set, and have 0 at e hold those p elements and any subset of the e
+    below, so by Vandermonde they add sum_i C(p, k - i) C(e, i) 2^(e - i)."""
+    total, p = 0, 0
+    for e in range(n.bit_length() - 1, -1, -1):
+        if n >> e & 1:
+            total += sum(comb(p, k - i) * comb(e, i) << (e - i)
+                         for i in range(min(k, e) + 1))
+            p += 1
+    return total
+
+
 def down_closure(masks) -> frozenset[int]:
     """Every subset of every given mask."""
     return frozenset(sub for mask in masks for sub in _submasks(mask))

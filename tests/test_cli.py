@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import down_set_count
 from cubespectra import cli, compress, core, spectral
 from cubespectra.core import format_family, hamming_ball, initial_segment
 
@@ -69,6 +70,14 @@ def test_count_cubes_command(capsys):
         ["count-cubes", "--initial", "6", "--dprime", "1", "--bounds"], capsys)
     record = json.loads(out)
     assert record["count"] <= record["smooth_bound"] <= record["integer_bound"]
+
+
+@pytest.mark.parametrize("n", [2**500 - 1, 3**1200], ids=["2^500-1", "3^1200"])
+def test_count_cubes_on_a_long_initial_segment(n, capsys):
+    code, out, err = run_cli(["count-cubes", "--initial", str(n),
+                              "--dprime", "2"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["count"] == down_set_count(n, 2)
 
 
 def test_count_cubes_bounds_past_log2_n_are_zero(capsys):

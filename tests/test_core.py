@@ -439,3 +439,34 @@ def test_parse_family_checks_the_header_first():
     with pytest.raises(ValueError, match="header line 'd=65'"):
         parse_family("d=65\n" + "0" * 65 + "\n")
     assert parse_family("d=64 # the widest\n").members == frozenset()
+
+
+def test_parse_family_round_trip_in_every_dimension():
+    for d in range(1, 65):
+        rng = random.Random(d)
+        masks = {0, (1 << d) - 1, 1 << (d - 1)}
+        masks |= {rng.getrandbits(d) for _ in range(40)}
+        if d == 64:
+            masks |= {1 << 63 | rng.getrandbits(63) for _ in range(20)}
+        fam = VertexFamily(d, frozenset(masks))
+        parsed = parse_family(format_family(fam))
+        assert parsed == fam and hash(parsed) == hash(fam)
+        verts = parsed.vertices
+        assert verts.dtype == np.uint64 and verts.tolist() == sorted(masks)
+        assert not verts.flags.writeable and parsed.vertices is verts
+        assert cube_graph(parsed).indices.dtype == np.int64
+
+
+def test_family_of_sorted_masks_checks_its_ends():
+    masks = lambda *ms: np.array(ms, dtype=np.uint64)
+    fam = VertexFamily._of_sorted(3, masks(0, 5, 7))
+    assert fam == VertexFamily(3, frozenset([0, 5, 7]))
+    assert VertexFamily._of_sorted(64, masks()) == VertexFamily(64, frozenset())
+    outside = "has elements outside"
+    with pytest.raises(ValueError, match=r"vertex \{4\} " + outside):
+        VertexFamily._of_sorted(3, masks(1, 8))
+    with pytest.raises(ValueError, match=r"vertex \{1,64\} " + outside):
+        VertexFamily._of_sorted(63, masks(1 << 63 | 1))
+    for d in (0, -1, 65):
+        with pytest.raises(ValueError, match="dimension must be in 1..64"):
+            VertexFamily._of_sorted(d, masks(0))

@@ -7,7 +7,7 @@ import random
 import subprocess
 import sys
 import warnings
-from math import isclose, sqrt
+from math import comb, isclose, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -397,6 +397,38 @@ def test_lanczos_start_runs_on_the_even_half(monkeypatch):
         runs.clear()
 
 
+def _parity_skewed(parity: int) -> VertexFamily:
+    """A hash-picked fifth of Q12, less its members of the given parity
+    that are multiples of 3: power steps follow its Lanczos start."""
+    return VertexFamily(12, frozenset(
+        v for v in range(1 << 12) if (v * 2654435761 >> 7) % 16 < 5
+        and not (v.bit_count() % 2 == parity and v % 3 == 0)))
+
+
+@pytest.mark.parametrize("fam, want", [
+    # flip_csr's table branch, with as many even members as odd
+    (initial_segment(3000, 12),
+     ("11.336267061269535", "8.881784197001252e-14", "0", "'lanczos'")),
+    # its searchsorted branch, with more odd members (326 against 2,626)
+    (hamming_ball(26, 3),
+     ("11.577276194304627", "1.580957587066223e-13", "0", "'lanczos'")),
+    # its searchsorted branch, with more even members (191 against 20)
+    (hamming_ball(20, 2),
+     ("7.615773105863869", "8.171241461241152e-14", "0", "'lanczos'")),
+    # the table branch with more odd (353 against 640) or even (640
+    # against 500) members, and power steps after the start
+    (_parity_skewed(0),
+     ("4.072669493408081", "1.9539925233402755e-14", "7", "'lanczos'")),
+    (_parity_skewed(1),
+     ("4.1949975222954325", "2.1316282072803006e-14", "7", "'lanczos'")),
+], ids=["init3000", "ball26-3", "ball20-2", "more-odd", "more-even"])
+def test_sparse_lambda1_keeps_its_bits(fam, want):
+    res = lambda1(fam)
+    got = (repr(res.lambda1), repr(res.error_bound), repr(res.iterations),
+           repr(res.method))
+    assert got == want
+
+
 def test_top_ritz_pair_matches_a_dense_eigensolver():
     rng = np.random.default_rng(5)
     for k in (1, 2, 3, 8, 40):
@@ -587,6 +619,31 @@ def test_walk_trace_bound_matches_exact_trace():
             largest = max(largest, trace)
             assert walk_trace_bound(fam, k) == _root_of_int(trace // 2, 2 * k)
     assert largest >= 1 << 63
+
+
+def test_walk_trace_bound_sums_squares_in_int64_where_exact():
+    from scipy.sparse import csr_matrix
+
+    rng = random.Random(31)
+    for d, n in [(10, 300), (12, 600), (16, 500), (16, 2000)]:
+        fam = VertexFamily(d, frozenset(rng.sample(range(2**d), n)))
+        g = cube_graph(fam)
+        top = int(np.diff(g.indptr).max())
+        adj = csr_matrix((np.ones(len(g.indices), dtype=np.int64), g.indices,
+                          g.indptr), shape=(n, n))
+        for k in (2, 3):
+            power = adj ** k
+            assert len(power.data) * top ** (2 * k) < 1 << 63   # int64 sum
+            total = sum(c * c for c in power.data.tolist())
+            assert walk_trace_bound(fam, k) == _root_of_int(total // 2, 2 * k)
+    # all of Q6 at k = 12, where A^12 joins each vertex to the 32 at even
+    # distance: nnz 6^24 >= 2^63 > 6^12, and the sum itself, trace(A^24)
+    # = sum_j C(6, j) (6 - 2j)^24, passes 2^63, so only the Python-int
+    # sum gives it
+    q6 = initial_segment(64, 6)
+    trace = sum(comb(6, j) * (6 - 2 * j) ** 24 for j in range(7))
+    assert trace >= 1 << 63 and 64 * 32 * 6**24 >= 1 << 63 > 6**12
+    assert walk_trace_bound(q6, 12) == _root_of_int(trace // 2, 24)
 
 
 def test_walk_trace_bound_rejects_counts_past_int64():

@@ -3,10 +3,11 @@
 import tracemalloc
 from math import comb, isclose, log2
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import brute_count_subcubes, down_closure
+from conftest import brute_count_subcubes, down_closure, down_set_count
 from cubespectra.compress import binary_compression_family, fully_compress
 from cubespectra.core import VertexFamily, hamming_ball, initial_segment
 from cubespectra.subcubes import (
@@ -126,6 +127,32 @@ def test_initial_count_matches_direct_count():
         seg = initial_segment(n, 6)
         for dp in range(7):
             assert initial_count(n, dp).count == count_subcubes(seg, dp).count
+
+
+def test_initial_count_on_every_segment_of_q12():
+    pops = np.bitwise_count(np.arange(1 << 12))
+    for dp in range(5):
+        # the down-set count of each initial segment, N = 0..2^12
+        want = np.concatenate(([0], np.cumsum([comb(int(c), dp)
+                                               for c in pops])))
+        assert [initial_count(n, dp).count for n in range(1 << 12)] \
+            == want[:-1].tolist()
+    spread = set(range(0, 1 << 12, 61)) | {(1 << j) + s for j in range(12)
+                                          for s in (-1, 0, 1)}
+    for n in sorted(spread):
+        seg = initial_segment(n, 12)
+        for dp in range(5):
+            assert initial_count(n, dp).count == count_subcubes(seg, dp).count
+
+
+def test_initial_count_of_long_binary_numbers():
+    # once a recursion per set digit, which 2^500 - 1 took past Python's
+    # stack limit
+    assert initial_count(2**500 - 1, 2).count == comb(500, 2) * (2**498 - 1)
+    for n in (2**500 - 1, 3**1200, 2**1000, 2**1000 + 1):
+        for dp in (0, 1, 2, 5):
+            assert initial_count(n, dp).count == down_set_count(n, dp)
+    assert initial_count(3**1200, 2000).count == 0
 
 
 def test_initial_segments_maximize_counts_exhaustive_q3():
