@@ -11,14 +11,20 @@ order, keeping only extensions whose lower shadow and adjacent shifts
 are already present: the member-local test that `is_compressed` applies
 to every member, which suffices because a compressed family plus a
 vertex that passes it is compressed (`compress`'s module docstring).
-Each member offers one extension, its first non-member above its largest
-element, and a new member changes only two offers, so the DFS runs on an
-explicit stack of offers, at any depth, and yields each family as its
-sorted members.  Members of a compressed n-family use elements at most
-n-1, which bounds the offers.  An offer that fails remembers the absent
-prerequisite that rejected it, and fails again at once while that one is
-still absent, which is sound whatever the DFS did in between: about three
-offers in four are rejected so at n = 28.
+Members join in increasing order, so each candidate w is tested once,
+when its largest prerequisite joins: by then every other prerequisite
+of w is settled for the whole subtree.  That trigger is w - 1 for odd w
+and w - lowbit(w)/2 for even w > 0, so a joining u triggers at most two
+candidates, u + 1 for even u and u + lowbit(u) for u without the element
+above its least.  A candidate that passes stays open in every descendant
+until a member above it joins, and one that fails never joins there.
+The vertices that can join at all form a universe: those whose down-set
+has at most n members, numbered in increasing order (members of a
+compressed n-family use elements at most n-1, which bounds it too).  A
+family is then a row of two uint64 bitsets over the universe, its
+absent and its open vertices, and the DFS expands blocks of rows of one
+depth at once, on an explicit stack, so its memory stays bounded at any
+depth; the last depth gives (F, n) arrays of sorted members.
 
 A certified family is an interval [lo, hi] for its lambda1 (`lambda1`'s
 `SpectralResult.interval()`).  Families rank by lo; the maximizers are
@@ -57,9 +63,10 @@ where a covered set is the whole family.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
-from itertools import chain
+from heapq import heappop, heappush
+from itertools import accumulate
 from math import inf, log, sqrt
 
 import numpy as np
@@ -80,32 +87,113 @@ SCREEN_STEPS = 4
 # most 512 KB of float64.
 SCREEN_ENTRIES = 1 << 16
 
+# Bound on one step of `_walk`: a block of WALK_WORDS // (n W) rows (at
+# least one), each family of at most n - 1 members, has at most n - 1
+# children per row of 2W uint64 words, so at most 2 WALK_WORDS words.
+WALK_WORDS = 1 << 17
+
+_ALL = np.uint64((1 << 64) - 1)
+
 
 # ---------------------------------------------------------------------------
 # Enumeration of compressed families.
 
 
-def enumerate_compressed(n: int, cap_dim: int):
-    """Yield the sorted members of every compressed family of size n with
-    elements <= cap_dim, each family exactly once, in a canonical order.
+def _universe(n: int, top: int):
+    """The vertices below `top` whose down-set, their closure under
+    shadows and adjacent shifts, has at most n members: every vertex
+    that can be a member of a compressed n-family below `top`, in
+    increasing order.  Returns them with, for each vertex w > 0, the
+    position of its trigger and its down-set without w, as one int with
+    bit i for position i.
 
-    A valid next member v is s + {e}, e > max(s), with s and every
-    s + {e'}, max(s) < e' < e, members (shadow and left shifts of v); so
-    each member s offers only its first non-member s + {e}.  When v
-    joins, p = v - {max v} offers p + {max v + 1} in its place and v
-    offers v + {max v + 1}; every other offer stays.  Each node of the
-    depth-first search keeps its untried offers above the last member,
-    largest first, on an explicit stack.
+    The trigger of w is its largest prerequisite (`_prerequisites`):
+    w - 1 when w is odd, w - lowbit(w)/2 when w is even.  It is smaller
+    than w, so the triggers form a tree on the vertices, rooted at 0.  A
+    down-set holds its trigger's, so the vertices are closed under
+    triggers: a heap from 0 through each vertex's at most two trigger
+    children, u + 1 for even u and u + lowbit(u) for u without the
+    element above its least, pops them all in increasing order, and pops
+    every prerequisite of a vertex before the vertex."""
+    index: dict[int, int] = {}
+    downs: list[int] = []
+    triggers: list[int] = []
+    needs: list[int] = []
+    heap = [0]
+    while heap:
+        w = heappop(heap)
+        need = 0
+        try:
+            for p in _prerequisites(w):
+                need |= downs[index[p]]
+        except KeyError:          # that prerequisite's down-set is too large
+            continue
+        if need.bit_count() >= n:   # w's down-set is one larger
+            continue
+        low = w & -w
+        if w:
+            triggers.append(index[w - 1 if w & 1 else w - (low >> 1)])
+            needs.append(need)
+        index[w] = len(downs)
+        downs.append(need | 1 << len(downs))
+        if not w & 1 and w | 1 < top:
+            heappush(heap, w | 1)
+        if w and not w & low << 1 and w + low < top:
+            heappush(heap, w + low)
+    return list(index), triggers, needs
 
-    Most offers fail, and the same offer is tested again at many nodes.
-    For the length of the call each offer v keeps its prerequisites (the
-    shadows and adjacent shifts `_member_fails` looks up,
-    `_prerequisites`) and the one whose absence last rejected it.  While
-    that one is still absent v fails at once, with one lookup: an absent
-    prerequisite is a failure whatever else the DFS has added or removed,
-    so the reject needs no invariant of the search.  Otherwise the full
-    test runs and records the prerequisite that fails now.  The empty
-    set, always a member, stands for "none recorded"."""
+
+def _walk_tables(n: int, top: int):
+    """The universe of `_universe(n, top)` as a uint64 array, its word
+    count W, and the (U, 3, 2W) table of one step of `_walk` through
+    each vertex u.  Row 0 is a mask: it takes u out of the absent
+    vertices and drops the open vertices up to u.  Rows 1 and 2 hold each
+    vertex w that u triggers, odd w first: w's down-set without w in the
+    absent half, w alone in the open half, or zeros where u triggers no
+    w."""
+    verts, triggers, needs = _universe(n, top)
+    size = len(verts)
+    words = -(-size // 64)
+    pos = np.arange(size)
+    word = pos >> 6
+    one = np.left_shift(np.uint64(1), (pos & 63).astype(np.uint64))
+    verts = np.array(verts, dtype=np.uint64)
+    table = np.zeros((size, 3, 2 * words), dtype=np.uint64)
+    table[:, 0, :words] = _ALL
+    table[pos, 0, word] = ~one
+    table[:, 0, words:] = np.where(np.arange(words) > word[:, None], _ALL, 0)
+    table[pos, 0, words + word] = ~((one << np.uint64(1)) - np.uint64(1))
+    trig = (np.array(triggers, dtype=np.intp),
+            2 - (verts[1:] & np.uint64(1)).astype(np.intp))
+    table[trig + (slice(0, words),)] = np.frombuffer(
+        b"".join(m.to_bytes(8 * words, "little") for m in needs),
+        dtype="<u8").reshape(-1, words)
+    table[trig + (words + word[1:],)] = one[1:]
+    return verts, words, table
+
+
+def _walk(n: int, cap_dim: int):
+    """Yield the compressed families of size n with elements <= cap_dim
+    as (F, n) uint64 arrays of sorted members, each family once, all of
+    them in the lex order of their members (`enumerate_compressed`).
+
+    A row is one family, held as two bitsets over the universe
+    (`_walk_tables`), each W uint64 words: the absent vertices, the
+    complement of its members, and the open ones, those above its last
+    member that may join it next.  The root is {0} with 1 open.  A row's
+    children are its open vertices u, in increasing order: the child
+    through u is the row with u a member and its open vertices above u,
+    plus each vertex w that u triggers whose down-set, w aside, lies in
+    the child.  Members join in increasing order, so when w's largest
+    prerequisite u joins every other one is settled for the whole
+    subtree: w is tested once, there, and stays open until a member
+    above it joins.
+
+    The walk is depth-first over blocks of at most
+    WALK_WORDS // (n W) rows of one depth: an explicit stack keeps, per
+    depth, the rows not yet expanded, each block's children come out of
+    one `nonzero` over its unpacked open bits in lex order, and the
+    children of a block of the last inner depth are the leaves."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if cap_dim < 1 or n > 2**cap_dim:
@@ -113,37 +201,56 @@ def enumerate_compressed(n: int, cap_dim: int):
             f"cap_dim={cap_dim} too small for a compressed family of size {n}"
         )
     if n == 1:
-        yield (0,)
+        yield np.zeros((1, 1), dtype=np.uint64)
         return
-    top = 1 << min(cap_dim, n - 1)
-    path, members, stack = [0], {0}, [[1]]
-    prereqs: dict[int, tuple[int, ...]] = {}
-    blocker: dict[int, int] = {}
+    verts, words, table = _walk_tables(n, 1 << min(cap_dim, n - 1))
+    size = max(1, WALK_WORDS // (n * words))
+    root = np.zeros((1, 2 * words), dtype=np.uint64)
+    root[0, :words] = _ALL
+    root[0, 0] = ~np.uint64(1)          # 0 is a member
+    root[0, words] = 2                   # 1 is open
+    stack = [root]
     while stack:
-        offers = stack[-1]
-        if not offers:
+        block, stack[-1] = stack[-1][:size], stack[-1][size:]
+        if not len(block):
             stack.pop()
-            members.remove(path.pop())
             continue
-        v = offers.pop()
-        if blocker.get(v, 0) not in members:
-            continue
-        pre = prereqs.get(v)
-        if pre is None:
-            pre = prereqs[v] = _prerequisites(v)
-        for p in pre:
-            if p not in members:
-                blocker[v] = p
-                break
-        else:
-            if len(path) == n - 1:
-                yield (*path, v)
+        free, low = block[:, words:], 0
+        if words > 1:           # unpack only the words that hold open bits
+            live = np.flatnonzero(free.any(axis=0))
+            if not len(live):
                 continue
-            bit = 1 << v.bit_length()           # element max v + 1
-            path.append(v)
-            members.add(v)
-            new = [(v ^ bit >> 1) | bit, v | bit] if bit < top else []
-            stack.append(sorted(offers + new, reverse=True))
+            free, low = free[:, live[0]:live[-1] + 1], live[0]
+        bits = np.unpackbits(free.view(np.uint8), axis=1, bitorder="little")
+        parent, u = np.divmod(bits.view(bool).ravel().nonzero()[0],
+                              bits.shape[1])
+        if low:
+            u += 64 * low
+        if len(stack) == n - 1:
+            have = np.unpackbits((~block[:, :words]).view(np.uint8), axis=1,
+                                 count=len(verts), bitorder="little")
+            members = have.view(bool).ravel().nonzero()[0] % len(verts)
+            leaves = np.empty((len(u), n), dtype=np.uint64)
+            leaves[:, :-1] = verts[members.reshape(len(block), n - 1)[parent]]
+            leaves[:, -1] = verts[u]
+            yield leaves
+            continue
+        step = table[u]
+        child = block[parent]
+        child &= step[:, 0]
+        trig = step[:, 1:]
+        fail = (trig[:, :, :words] & child[:, None, :words]).any(
+            axis=2, keepdims=True)
+        child[:, words:] |= np.where(fail, 0, trig[:, :, words:]).sum(axis=1)
+        stack.append(child)
+
+
+def enumerate_compressed(n: int, cap_dim: int):
+    """Yield the sorted members of every compressed family of size n with
+    elements <= cap_dim, each family exactly once, in the lex order of
+    the sorted members (`_walk`)."""
+    for block in _walk(n, cap_dim):
+        yield from map(tuple, block.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +273,10 @@ class SearchResult:
         return self.maximizers[0]
 
 
-def _screen(chunk: list[tuple[int, ...]]) -> list[float]:
+def _screen(chunk: np.ndarray) -> np.ndarray:
     """Each family's Collatz-Wielandt bound on lambda1, rounded up past
-    lambda1; `chunk` holds the sorted members of compressed families, all
-    of one size n.
+    lambda1; `chunk` is an (F, n) uint64 array, each row the sorted
+    members of a compressed family.
 
     lambda1^2 is the top eigenvalue of B B^T on the even side
     (`_bipartite_stack`), and max_v (B B^T x)_v / x_v bounds it for any
@@ -178,11 +285,11 @@ def _screen(chunk: list[tuple[int, ...]]) -> list[float]:
     on the even members with their degrees on its diagonal, so steps
     from the ones on those rows keep x positive there.  A one-vertex
     family has no edge and gets u = 0."""
-    n = len(chunk[0])
+    chunk = np.asarray(chunk, dtype=np.uint64)
+    n = chunk.shape[1]
     if n == 1:
-        return [0.0] * len(chunk)
-    members = np.fromiter(chain.from_iterable(chunk), np.uint64, len(chunk) * n)
-    b = _bipartite_stack(members.reshape(-1, n))[0]
+        return np.zeros(len(chunk))
+    b = _bipartite_stack(chunk)[0]
     # x as (F, 1, E) rows, ones on the padded rows too: B is zero there,
     # so B^T x reads only the even members, and x = B B^T x = 0 there
     # after a step
@@ -199,11 +306,27 @@ def _screen(chunk: list[tuple[int, ...]]) -> list[float]:
     # With eps/2 for the product below, that is (n + 3) eps/4, and
     # 1 + (n + 3) eps/2 leaves as much again for second-order terms.
     round_up = 1 + (n + 3) * np.finfo(float).eps / 2
-    return (np.sqrt(ratio.max(axis=(1, 2))) * round_up).tolist()
+    return np.sqrt(ratio.max(axis=(1, 2))) * round_up
+
+
+def _runs(blocks, size: int):
+    """The rows of the arrays `blocks`, read one after another, as
+    consecutive arrays of `size` rows, the last one possibly shorter."""
+    parts, have = [], 0
+    for block in blocks:
+        while len(block):
+            parts.append(block[:size - have])
+            have += len(parts[-1])
+            block = block[len(parts[-1]):]
+            if have == size:
+                yield np.concatenate(parts) if len(parts) > 1 else parts[0]
+                parts, have = [], 0
+    if parts:
+        yield np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
 def _split(ranked, top_k: int):
-    """Maximizers and runner-ups of (lo, hi, members) rows in rank order:
+    """Maximizers and runner-ups of (lo, hi, ...) rows in rank order:
     a maximizer's interval reaches the best lower end, and the runner-ups
     are the first `top_k` other rows."""
     best = ranked[0][0]
@@ -241,38 +364,46 @@ def max_lambda1(n: int, d: int, tol: float = DEFAULT_TOL, top_k: int = 3,
         raise ValueError(f"search budget must be >= 1, got {max_families}")
     restricted = d < n - 1
     cap_dim = min(d, max(n - 1, 1))
-    families: list[tuple[int, ...]] = []
-    complete = True
-    for ms in enumerate_compressed(n, cap_dim):
-        if max_families is not None and len(families) >= max_families:
-            complete = False
+    blocks, count, complete = [], 0, True
+    for block in _walk(n, cap_dim):
+        blocks.append(block)
+        count += len(block)
+        if max_families is not None and count > max_families:
+            blocks[-1] = block[:len(block) - count + max_families]
+            count, complete = max_families, False
             break
-        families.append(ms)
     chunk = max(1, SCREEN_ENTRIES // (n * n))
-    bounds = [u for start in range(0, len(families), chunk)
-              for u in _screen(families[start:start + chunk])]
+    bounds = np.concatenate([_screen(rows) for rows in _runs(blocks, chunk)])
+    starts = list(accumulate(map(len, blocks), initial=0))
 
     def by_rank(row):   # lower end descending, then members
         return -row[0], row[2]
 
     # lambda1's gap is at most max(tol, 4 (K + 10) 2**-53 lo), K < 2n, lo <= u
     rounding = (8 * n + 40) * 2.0**-53
-    ranked: list[tuple[float, float, tuple[int, ...]]] = []   # (lo, hi, ms)
-    for u, ms in sorted(zip(bounds, families), key=lambda p: (-p[0], p[1])):
+    ranked = []   # (lo, hi, members, family) in rank order
+    # families come in lex order, so a stable sort on -u breaks ties of u
+    # by members
+    for i in np.argsort(-bounds, kind="stable").tolist():
+        u = float(bounds[i])
         if ranked:
             maxima, runners = _split(ranked, top_k)
-            floor = min(lo for lo, _, _ in maxima + runners)
+            floor = min(r[0] for r in maxima + runners)
             w = max(tol, rounding * u)
             if len(runners) == top_k and u + w < ranked[0][0] and u < floor:
                 break
-        fam = VertexFamily(cap_dim, frozenset(ms))
-        insort(ranked, (*lambda1(fam, tol).interval(), ms), key=by_rank)
+        k = bisect_right(starts, i) - 1
+        members = blocks[k][i - starts[k]].copy()
+        fam = VertexFamily._of_sorted(cap_dim, members)
+        insort(ranked, (*lambda1(fam, tol).interval(),
+                        tuple(members.tolist()), fam), key=by_rank)
     maxima, runners = _split(ranked, top_k)
     best = ranked[0][0]
-    maximizers = tuple(VertexFamily(d, frozenset(ms)) for _, _, ms in maxima)
-    runner_ups = tuple((lo, VertexFamily(d, frozenset(ms)))
-                       for lo, _, ms in runners)
-    return SearchResult(n, d, best, maximizers, runner_ups, len(families),
+    maximizers = tuple(VertexFamily._of_sorted(d, r[3].vertices)
+                       for r in maxima)
+    runner_ups = tuple((r[0], VertexFamily._of_sorted(d, r[3].vertices))
+                       for r in runners)
+    return SearchResult(n, d, best, maximizers, runner_ups, count,
                         restricted, complete)
 
 

@@ -63,7 +63,9 @@ def _initial_count(n: int, d_prime: int) -> int:
     power of two r above m, as one loop over the binary digits of n from
     the lowest up: counts[j] is T at dimension j of m, the digits of n
     taken so far.  A power of two r = 2^e is a cube of dimension e, with
-    C(e, j) 2^(e-j) subcubes of dimension j, and none above e."""
+    C(e, j) 2^(e-j) subcubes of dimension j, and none above e; one
+    `comb` per digit gives C(e, j) for the top j, and each step down is
+    exact, C(e, j - 1) = C(e, j) j / (e - j + 1)."""
     if d_prime and d_prime >= n.bit_length():   # 2^d_prime > n vertices
         return 0
     counts = [0] * (d_prime + 1)
@@ -71,8 +73,11 @@ def _initial_count(n: int, d_prime: int) -> int:
     while m != n:
         r = (n - m) & (m - n)           # the lowest digit of n above m
         e = r.bit_length() - 1
-        for j in range(min(d_prime, e), 0, -1):
-            counts[j] += comb(e, j) * (r >> j) + counts[j - 1]
+        top = min(d_prime, e)
+        c = comb(e, top)                # C(e, j), for j from top down
+        for j in range(top, 0, -1):
+            counts[j] += c * (r >> j) + counts[j - 1]
+            c = c * j // (e - j + 1)
         m += r
         counts[0] = m
     return counts[d_prime]

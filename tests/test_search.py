@@ -357,3 +357,97 @@ def test_screen_bounds_every_lower_end(monkeypatch, steps):
             if steps == 0:
                 assert 0 <= u - sqrt(even_neighbour_degree_sum(fam)) < 1e-12
                 assert u <= classic_bounds(fam)["fms"] + 1e-12
+
+
+def test_walk_matches_recursive_reference_on_wide_universes():
+    # the universe of n = 26 is the first to need two words, and that of
+    # n = 41 (26,424 families) the first to need three
+    for n in (26, 41):
+        assert (list(enumerate_compressed(n, n - 1))
+                == list(recursive_enumeration(n, n - 1))), n
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_walk_blocks_keep_the_families_and_their_order(monkeypatch, rows):
+    for n, cap in ((20, 19), (28, 27), (30, 8)):
+        want = list(enumerate_compressed(n, cap))
+        universe = search._universe(n, 1 << min(cap, n - 1))[0]
+        words = -(-len(universe) // 64)
+        monkeypatch.setattr(search, "WALK_WORDS", rows * n * words)
+        assert list(enumerate_compressed(n, cap)) == want, (n, cap)
+
+
+def leaves_on(core, count):
+    """The sorted members of `core` with the singletons below bit
+    `count`."""
+    return tuple(sorted({*core, *(1 << k for k in range(count))}))
+
+
+@pytest.mark.parametrize("budget, size, complete, best, maxima, runners", [
+    (1, 1, False, "4.1357792050698485", [tuple(range(20))], []),
+    (154, 154, False, "4.271558410139709", [leaves_on({0, 3}, 18)],
+     [("4.189252252523199", leaves_on({0, 3, 5}, 17)),
+      ("4.1357792050698485", tuple(range(20))),
+      ("4.114389776172824", leaves_on({0, 3, 5, 6}, 16))]),
+    (155, 155, True, "4.358898943540669", [leaves_on({0}, 19)],
+     [("4.271558410139709", leaves_on({0, 3}, 18)),
+      ("4.189252252523199", leaves_on({0, 3, 5}, 17)),
+      ("4.1357792050698485", tuple(range(20)))]),
+    (156, 155, True, "4.358898943540669", [leaves_on({0}, 19)],
+     [("4.271558410139709", leaves_on({0, 3}, 18)),
+      ("4.189252252523199", leaves_on({0, 3, 5}, 17)),
+      ("4.1357792050698485", tuple(range(20)))]),
+])
+def test_budget_cuts_the_walk_where_it_did(budget, size, complete, best,
+                                           maxima, runners):
+    # n = 20 has 155 compressed families; a budget keeps the first ones
+    res = max_lambda1(20, 19, max_families=budget)
+    assert (res.search_space_size, res.complete) == (size, complete)
+    assert repr(res.best_lambda1) == best
+    assert [f.sorted_members() for f in res.maximizers] == maxima
+    assert [(repr(v), f.sorted_members()) for v, f in res.runner_ups] == runners
+
+
+def test_tied_bounds_certify_in_member_order(monkeypatch):
+    # Bounds above every lower end never stop the certification, so every
+    # family is certified, by decreasing bound and, among equal bounds,
+    # in the order of the members.
+    calls = []
+
+    def counted(fam, tol):
+        calls.append(fam.sorted_members())
+        return lambda1(fam, tol)
+
+    def bound(chunk):
+        return 9.0 + np.asarray(chunk).sum(axis=1) % 3
+
+    monkeypatch.setattr(search, "lambda1", counted)
+    monkeypatch.setattr(search, "_screen", bound)
+    for n in (12, 23):
+        calls.clear()
+        res = max_lambda1(n, n - 1)
+        fams = list(enumerate_compressed(n, n - 1))
+        assert calls == sorted(fams, key=lambda ms: (-(9 + sum(ms) % 3), ms))
+        assert result_fields(res) == result_fields(certify_all(n, n - 1))
+
+
+def test_trigger_is_the_largest_prerequisite():
+    for w in range(1, 1 << 16):
+        low = w & -w
+        assert max(_prerequisites(w)) == (w - 1 if w & 1 else w - low // 2), w
+
+
+def test_universe_is_every_vertex_with_a_small_down_set():
+    def down_set_fits(v, n):
+        seen, todo = {v}, [v]
+        while todo and len(seen) <= n:
+            for p in _prerequisites(todo.pop()):
+                if p not in seen:
+                    seen.add(p)
+                    todo.append(p)
+        return len(seen) <= n
+
+    for n, cap in [(n, n - 1) for n in range(2, 15)] + [(20, 6), (30, 5)]:
+        top = 1 << min(cap, n - 1)
+        assert (search._universe(n, top)[0]
+                == [v for v in range(top) if down_set_fits(v, n)]), (n, cap)

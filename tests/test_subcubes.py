@@ -155,6 +155,31 @@ def test_initial_count_of_long_binary_numbers():
     assert initial_count(3**1200, 2000).count == 0
 
 
+def comb_per_digit_count(n, dp):
+    """The same loop as `initial_count`, with `comb(e, j)` computed anew
+    for every digit 2^e of n and every j."""
+    if dp and dp >= n.bit_length():
+        return 0
+    counts, m = [0] * (dp + 1), 0
+    while m != n:
+        r = (n - m) & (m - n)
+        e = r.bit_length() - 1
+        for j in range(min(dp, e), 0, -1):
+            counts[j] += comb(e, j) * (r >> j) + counts[j - 1]
+        m += r
+        counts[0] = m
+    return counts[dp]
+
+
+def test_initial_count_steps_binomials_down_each_digit():
+    for n in range(1 << 10):
+        for dp in range(11):
+            assert initial_count(n, dp).count == comb_per_digit_count(n, dp)
+    for n, dp in ((3**1200, 2), (3**1200, 50), (3**400, 600), (12345, 3),
+                  (2**500 - 1, 7), (2**700 + 3**300, 599)):
+        assert initial_count(n, dp).count == comb_per_digit_count(n, dp)
+
+
 def test_initial_segments_maximize_counts_exhaustive_q3():
     import itertools
 
