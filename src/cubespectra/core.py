@@ -126,7 +126,10 @@ class VertexFamily:
     Treat instances as immutable values; `members` is a frozenset of
     bitmasks, every member a subset of {1..d}.  `vertices`, `cube_graph`
     and `is_compressed` keep their results on the instance, outside its
-    fields, so equality, hashing and `replace` ignore them.
+    fields, so equality, hashing and `replace` ignore them.  A family
+    made by `_of_sorted` holds only `d` and `vertices` until `members` is
+    first read (`__getattr__`); its length is its array's, and every
+    other use sees the same value as a family built from the set.
     """
 
     d: int
@@ -142,14 +145,24 @@ class VertexFamily:
         """The family of Q_d whose `vertices` is `masks`, an ascending
         uint64 array without repeats, which becomes read-only.  Its ends
         bound every member, so the checks take O(1) in place of
-        `__post_init__`'s passes over the members."""
+        `__post_init__`'s passes over the members, and its `members` set
+        is built from the array, in ascending order, when first read."""
         fam = object.__new__(cls)
         object.__setattr__(fam, "d", d)
-        object.__setattr__(fam, "members", frozenset(masks.tolist()))
         fam._check(0, int(masks[-1]) if len(masks) else 0)
         masks.flags.writeable = False
         fam.__dict__["vertices"] = masks
         return fam
+
+    def __getattr__(self, name: str):
+        # reached only for names missing from the instance and the class:
+        # here the `members` of an `_of_sorted` family not yet read
+        verts = self.__dict__.get("vertices")
+        if name != "members" or verts is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        members = self.__dict__["members"] = frozenset(verts.tolist())
+        return members
 
     def _check(self, low: int, top: int) -> None:
         """Raise unless d is in 1..MAX_DIM and the least and greatest
@@ -164,7 +177,8 @@ class VertexFamily:
             )
 
     def __len__(self) -> int:
-        return len(self.members)
+        verts = self.__dict__.get("vertices")
+        return len(self.members if verts is None else verts)
 
     def __contains__(self, mask: int) -> bool:
         return mask in self.members

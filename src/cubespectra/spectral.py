@@ -80,8 +80,11 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
     that M is applied through the sparse B and B^T, built from the
     family's `vertices` without a CubeGraph (`_bipartite_blocks`), from
     the top Ritz vector of a Lanczos run on M (`_lanczos_start`; method
-    "lanczos").  A family without edges gets [0, 0] exactly, with the
-    uniform eigenvector.  `iterations` counts the certifying power
+    "lanczos").  Each step's two inner products are correctly rounded
+    sums: `math.fsum` on the dense path and `_exact_sum`, the same float
+    from numpy with no Python float per entry, on the sparse path.  A
+    family without edges gets [0, 0] exactly, with the uniform
+    eigenvector.  `iterations` counts the certifying power
     steps.  The eigenvector is (x, B^T x / ||B^T x||) / sqrt(2) for the
     last iterate x; its weight dict is built when first read."""
     if len(fam) == 0:
@@ -90,9 +93,10 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     n = len(fam)
 
-    # M x, B^T x, M's row sums and K, the most roundings in an entry of
-    # M x.  Sums run in numpy's or scipy's order, not a BLAS kernel's, so
-    # the bits of the result do not depend on the kernel the CPU selects.
+    # M x, B^T x, M's row sums, the correctly rounded sum of an array's
+    # entries, and K, the most roundings in an entry of M x.  Sums run in
+    # numpy's or scipy's order, not a BLAS kernel's, so the bits of the
+    # result do not depend on the kernel the CPU selects.
     if n <= 64:
         stack, evens, odds = _bipartite_stack(fam.vertices[None])
         b, masks = stack[0], np.concatenate((evens[0], odds[0]))
@@ -100,6 +104,7 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
         matvec = lambda v: np.add.reduce(mat * v, axis=1)
         lift = lambda v: np.add.reduce(b * v[:, None], axis=0)
         row_sums = np.add.reduce(mat, axis=1)
+        total = lambda terms: math.fsum(terms.tolist())
         half = len(mat)
         start = lambda: np.full(half, 1.0 / sqrt(half))
         roundings = half   # a product and half - 1 additions
@@ -110,6 +115,7 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
         lift = bt.dot
         odd_degrees = np.diff(bt.indptr)
         row_sums = b.dot(odd_degrees.astype(float))   # sum of deg w, w ~ v
+        total = _exact_sum
         half = b.shape[0]
         start = lambda: _lanczos_start(matvec, half)
         # products with 1.0 are exact: deg w - 1, then deg v - 1 additions
@@ -131,10 +137,11 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
     # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     # sections 3.1 and 4.2).  Every term is nonnegative, so a sum of m
     # terms in any order has relative error at most gamma_{m-1}, and each
-    # entry of y = M x is within gamma_K of exact.  fsum rounds once, as
-    # do each product x_v y_v or x_v^2 and the division, so rho is within
-    # gamma_{K+5} of the Rayleigh quotient of the stored x; each y_v / x_v
-    # is within gamma_{K+1} of the exact ratio, and the row sums are exact.
+    # entry of y = M x is within gamma_K of exact.  Each inner product is
+    # rounded once, correctly, as are each product x_v y_v or x_v^2 and
+    # the division, so rho is within gamma_{K+5} of the Rayleigh quotient
+    # of the stored x; each y_v / x_v is within gamma_{K+1} of the exact
+    # ratio, and the row sums are exact.
     # The square root halves these errors, and it and the product with
     # 1 -/+ slack round once each, so to first order lo needs the factor
     # 1 - (K + 9) u/2 and hi the factor 1 + (K + 5) u/2.  slack = (K + 10) u
@@ -148,9 +155,12 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             y = matvec(x)
-            rho = math.fsum((x * y).tolist()) / math.fsum((x * x).tolist())
+            rho = total(x * y) / total(x * x)
             ratios = y / x             # nan where x_v = y_v = 0
-            upper = float(np.where(np.isnan(ratios), row_sums, ratios).max())
+            upper = float(ratios.max())
+            if math.isnan(upper):
+                upper = float(np.where(np.isnan(ratios), row_sums,
+                                       ratios).max())
             lo = sqrt(rho) * (1.0 - slack)
             error = sqrt(min(upper, cap)) * (1.0 + slack) - lo
             if (error <= max(tol, 4.0 * slack * lo)
@@ -163,6 +173,35 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
     values = np.concatenate((x, v / sqrt(np.add.reduce(v * v)))) / sqrt(2.0)
     vec = _ArrayWeightVector(fam.d, masks, values)
     return SpectralResult(lo, error, vec, iterations, method, error <= tol)
+
+
+def _exact_sum(terms: np.ndarray, chunk: int = (1 << 26) - 1) -> float:
+    """math.fsum(terms.tolist()) for a float64 array of finite terms,
+    with no Python float per term: the correctly rounded sum, half to
+    even, and +0.0 for a zero sum.
+
+    `np.frexp` writes each term as m 2^e with 1/2 <= |m| < 1, a 53-bit
+    m, and e in -1073..1024.  m 2^27 splits into its floor and 2^26
+    times the rest, integer-valued floats of magnitude at most 2^27 and
+    below 2^26, which `np.bincount` sums per e.  A bin of fewer than
+    2^26 terms keeps every partial sum an integer of magnitude below
+    2^53, so exact, and the array is summed `chunk` terms at a time to
+    hold each bin under that bound (a smaller `chunk` only splits it
+    further).  The nonzero bins carry into one Python int, scaled by
+    2^1126, and CPython's int true division rounds it correctly."""
+    total = 0
+    for start in range(0, len(terms), chunk):
+        mant, exp = np.frexp(terms[start:start + chunk])
+        mant *= 2.0**27
+        high = np.floor(mant)
+        mant -= high            # exact: the fraction of m 2^27
+        mant *= 2.0**26
+        exp += 1073             # bin k holds the terms with e = k - 1073
+        highs = np.bincount(exp, high)
+        lows = np.bincount(exp, mant)
+        for k in np.flatnonzero((highs != 0) | (lows != 0)).tolist():
+            total += (int(highs[k]) << (k + 26)) + (int(lows[k]) << k)
+    return total / (1 << 1126)
 
 
 class _ArrayWeightVector(WeightVector):

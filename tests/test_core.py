@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -470,3 +471,48 @@ def test_family_of_sorted_masks_checks_its_ends():
     for d in (0, -1, 65):
         with pytest.raises(ValueError, match="dimension must be in 1..64"):
             VertexFamily._of_sorted(d, masks(0))
+
+
+@pytest.mark.parametrize("fam", [
+    hamming_ball(8, 3),                                   # sparse lambda1
+    initial_segment(40, 7),                               # dense lambda1
+    VertexFamily(9, frozenset([0, 3, 5, 6, 40, 63, 256, 300, 511])),
+    VertexFamily(64, frozenset([0, 1, 1 << 63, (1 << 64) - 1])),
+    VertexFamily(4, frozenset()),
+], ids=["ball8-3", "init40", "scattered", "d64", "empty"])
+def test_parsed_family_builds_its_member_set_when_first_read(fam):
+    from cubespectra.compress import is_compressed
+    from cubespectra.spectral import lambda1
+    from cubespectra.subcubes import count_subcubes
+
+    parsed = parse_family(format_family(fam))
+    assert len(parsed) == len(fam)
+    assert parsed.vertices.tolist() == sorted(fam.members)
+    cube_graph(parsed)
+    if len(fam):
+        lambda1(parsed)
+    assert "members" not in parsed.__dict__
+    with pytest.raises(AttributeError, match="'other'"):
+        parsed.other
+    # a lazy family pickles as one and reads back as the same value
+    unpickled = pickle.loads(pickle.dumps(parsed))
+    assert "members" not in unpickled.__dict__
+
+    members = parsed.members
+    assert parsed.__dict__["members"] is members and parsed.members is members
+    same = VertexFamily(fam.d, frozenset(sorted(fam.members)))
+    assert members == same.members and list(members) == list(same.members)
+    assert parsed == same and same == parsed and unpickled == same
+    assert hash(parsed) == hash(same) == hash(unpickled)
+    assert repr(parsed) == repr(same) == repr(unpickled)
+    assert all((v in parsed) == (v in same) for v in range(1 << min(fam.d, 9)))
+    assert replace(parsed) == same and repr(replace(parsed)) == repr(same)
+    assert replace(parsed, d=64) == VertexFamily(64, same.members)
+    # a pickled frozenset comes back built from its iteration order
+    again = pickle.loads(pickle.dumps(parsed))
+    assert again == same
+    assert repr(again) == repr(pickle.loads(pickle.dumps(same)))
+    assert is_compressed(parsed) == is_compressed(same)
+    for d_prime in range(min(fam.d, 3) + 1):
+        assert count_subcubes(parsed, d_prime) == count_subcubes(same, d_prime)
+    assert len(parsed) == len(same) and list(parsed) == list(same)

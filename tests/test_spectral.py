@@ -1,6 +1,7 @@
 """Eigenvalue solvers and every bound, checked against dense oracles."""
 
 import filecmp
+import inspect
 import math
 import os
 import random
@@ -427,6 +428,102 @@ def test_sparse_lambda1_keeps_its_bits(fam, want):
     got = (repr(res.lambda1), repr(res.error_bound), repr(res.iterations),
            repr(res.method))
     assert got == want
+
+
+@pytest.mark.parametrize("make, want", [
+    # flip_csr's table branch
+    (lambda: initial_segment(50_000, 16),
+     ("15.423495623538907", "2.255973186038318e-13", "0", "'lanczos'")),
+    # its searchsorted branch
+    (lambda: hamming_ball(20, 6),
+     ("15.097990578212768", "1.687538997430238e-13", "0", "'lanczos'")),
+    (lambda: hamming_ball(22, 5),
+     ("14.49701497614832", "1.758593271006248e-13", "0", "'lanczos'")),
+], ids=["init50000", "ball20-6", "ball22-5"])
+def test_sparse_lambda1_keeps_its_bits_at_certify_sizes(make, want):
+    res = lambda1(make())
+    got = (repr(res.lambda1), repr(res.error_bound), repr(res.iterations),
+           repr(res.method))
+    assert got == want
+
+
+@st.composite
+def _sum_terms(draw):
+    """Float64 arrays of 1 to 5,000 finite terms of either sign: zeros,
+    subnormals, magnitudes from 2^-1074 to 2^1000, repeated values,
+    values one ulp apart, and half an ulp of a value, so that sums land
+    on halfway cases."""
+    n = draw(st.integers(1, 5000))
+    pool = np.array(draw(st.lists(
+        st.floats(min_value=-2.0**1000, max_value=2.0**1000,
+                  allow_subnormal=True), min_size=1, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = rng.integers(0, 6, n)
+    base = pool[rng.integers(0, len(pool), n)]
+    spread = np.ldexp(rng.random(n) + 0.5, rng.integers(-1075, 1000, n))
+    terms = np.select(
+        [kind == 0, kind == 1, kind == 2, kind == 3, kind == 4],
+        [0.0, base, np.nextafter(base, np.inf),
+         np.ldexp(rng.integers(1, 1 << 20, n).astype(float), -1074),
+         np.spacing(base) / 2], spread)
+    signs = draw(st.sampled_from(["+", "-", "+-"]))
+    if signs != "+":
+        flip = rng.random(n) < (1.0 if signs == "-" else 0.5)
+        terms = np.where(flip, -terms, terms)
+    return terms
+
+
+@settings(max_examples=300)
+@given(_sum_terms())
+def test_exact_sum_is_fsum(terms):
+    assert np.isfinite(terms).all()
+    assert spectral._exact_sum(terms) == math.fsum(terms.tolist())
+
+
+def test_exact_sum_fixed_cases():
+    tiny = 2.0**-1074
+    cases = [
+        [0.0] * 7,
+        [-0.0, 0.0],
+        [1.5],
+        [-tiny],
+        [2.0**1000],
+        [tiny] * 3,                              # a subnormal total
+        [2.0**-1022, -tiny],                     # ... just below the normals
+        [1.0, 2.0**-53],                         # halfway: down to even
+        [1.0 + 2.0**-52, 2.0**-53],              # halfway: up to even
+        [1.0, 2.0**-53, 2.0**-1074],             # just past halfway: up
+        [2.0**1000, 1.0, -2.0**1000],            # cancellation
+        [3.0, 2.0**-60, -3.0, -2.0**-60],        # an exact zero
+    ]
+    for terms in cases:
+        want = math.fsum(terms)
+        got = spectral._exact_sum(np.array(terms))
+        assert got == want and math.copysign(1, got) == math.copysign(1, want)
+    assert spectral._exact_sum(np.array([tiny] * 3)) == 3 * tiny
+    assert spectral._exact_sum(np.array([1.0, 2.0**-53])) == 1.0
+    assert spectral._exact_sum(np.array([1.0 + 2.0**-52, 2.0**-53])) == (
+        1.0 + 2.0**-51)
+
+
+def test_exact_sum_keeps_each_bin_under_its_term_bound():
+    # a bin's float sums of m-halves (magnitude at most 2^27) are exact
+    # while it holds fewer than 2^26 terms: 2^26 - 1 terms of the largest
+    # half stay below 2^53, and the default chunk is that bound
+    chunk = inspect.signature(spectral._exact_sum).parameters["chunk"].default
+    assert chunk == (1 << 26) - 1
+    assert chunk * (1 << 27) < 1 << 53
+    # at the edge of a chunk, with every term in one bin and the largest
+    # halves, the split sums carry exactly across chunks
+    top = np.nextafter(1.0, 0.0)                  # m = 1 - 2^-53
+    for k in (1, 2, 3, 4, 5, 7):
+        for length in (k - 1, k, k + 1, 2 * k, 2 * k + 1):
+            terms = np.full(length, top)
+            want = math.fsum(terms.tolist())
+            assert spectral._exact_sum(terms, chunk=k) == want
+            terms[::2] = 2.0**-53                 # halfway sums as well
+            want = math.fsum(terms.tolist())
+            assert spectral._exact_sum(terms, chunk=k) == want
 
 
 def test_top_ritz_pair_matches_a_dense_eigensolver():
