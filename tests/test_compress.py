@@ -4,11 +4,14 @@ import itertools
 import math
 import random
 from math import isclose, sqrt
+from unittest import mock
 
 import pytest
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import brute_is_compressed, brute_lambda1, brute_vector_is_compressed
+from cubespectra import compress
 from cubespectra.compress import (
     WeightVector,
     binary_compression,
@@ -20,7 +23,16 @@ from cubespectra.compress import (
     parse_vector,
     rayleigh,
 )
-from cubespectra.compress import _Bitmap, _Members, _Weights, _state, _uv_steps
+from cubespectra.compress import (
+    _RANK_FLOOR,
+    _Bitmap,
+    _Members,
+    _Ranks,
+    _Weights,
+    _rank_dot,
+    _state,
+    _uv_steps,
+)
 from cubespectra.core import (
     VertexFamily,
     dense_fits,
@@ -493,6 +505,13 @@ def _states():
         support = rnd.sample(range(1 << d), 3 << d - 2)
         vec = WeightVector(d, {s: float(rnd.randint(-2, 2)) for s in support})
         out.append(pytest.param(vec, _Weights, id=f"vector-d{d}"))
+    # nonzero weights, so n is the support size: on each side of the
+    # floor, and of `dense_fits` (2^12 > 2 * 170 * 12)
+    for d, n, kind in ((7, _RANK_FLOOR, _Ranks), (7, _RANK_FLOOR - 1, _Weights),
+                       (12, 171, _Ranks), (12, 170, _Weights)):
+        vec = WeightVector(d, {s: float(rnd.choice((-2, -1, 1, 2)))
+                               for s in rnd.sample(range(1 << d), n)})
+        out.append(pytest.param(vec, kind, id=f"{kind.__name__}-d{d}-n{n}"))
     return out
 
 
@@ -528,3 +547,108 @@ def test_a_misreported_drop_trips_the_sweep_check(monkeypatch, x, kind):
 def test_compression_rejects_neither_family_nor_vector(compress):
     with pytest.raises(TypeError, match="expected VertexFamily or WeightVector"):
         compress(frozenset({0, 1}))
+
+
+def _rank_rule_vectors():
+    """Vectors on both sides of the rule that picks the rank array (n at
+    least `_RANK_FLOOR` and 2^d <= 2nd) over the dict, each with the
+    state it should pick: raw, then compressed, then compressed with one
+    weight redrawn."""
+    rnd = random.Random(29)
+    raw = [
+        (7, _RANK_FLOOR, "gauss", _Ranks),
+        (7, _RANK_FLOOR - 1, "gauss", _Weights),
+        (9, 2 ** 9, "tied", _Ranks),
+        (12, 171, "tied", _Ranks),          # 4096 <= 4104
+        (12, 170, "gauss", _Weights),       # 4096 > 4080
+        (3, 8, "tied", _Weights),
+    ]
+    out = []
+    for d, n, weights, kind in raw:
+        draw = ((lambda: rnd.gauss(0, 1)) if weights == "gauss"
+                else lambda: float(rnd.choice((-2, -1, 1, 2))))
+        vec = WeightVector(d, {s: draw() for s in rnd.sample(range(1 << d), n)})
+        done, _ = fully_compress(vec)
+        redrawn = WeightVector(d, {**done.weights, rnd.randrange(1 << d): draw()})
+        for name, x, x_kind in (("raw", vec, kind), ("compressed", done, kind),
+                                ("redrawn", redrawn, None)):
+            out.append(pytest.param(x, x_kind, id=f"d{d}-n{n}-{weights}-{name}"))
+    return out
+
+
+@pytest.mark.parametrize("vec, kind", _rank_rule_vectors())
+def test_vector_compression_on_both_sides_of_the_rank_rule(vec, kind):
+    assert kind in (None, type(_state(vec)))
+    _assert_fully_compress_matches_sweeps(vec)
+    ok, step = is_compressed(vec)
+    assert ok == brute_vector_is_compressed(vec.weights, vec.d)
+    assert (ok, step and (step.u, step.v)) == _first_moving_step(vec)
+
+
+def _run_state(kind, vec):
+    """Each step's drop and the potentials over two sweeps of `kind` on
+    vec, then the result, with the key order, that it ends with."""
+    state = kind(vec)
+    drops, potentials = [], [state.potential()]
+    for _ in range(2):
+        for u, v in _uv_steps(vec.d):
+            drops.append(state.step(u, v))
+        potentials.append(state.potential())
+    return drops, potentials, list(state.result().weights.items())
+
+
+def _assert_rank_state_matches_dict(vec):
+    runs = {}
+    for kind in (_Weights, _Ranks):
+        with mock.patch.object(compress, "_state", kind):
+            out, log = fully_compress(vec)
+            runs[kind] = (_run_state(kind, vec), list(out.weights.items()),
+                          log, is_compressed(vec))
+    assert runs[_Ranks] == runs[_Weights]
+
+
+@st.composite
+def vectors_for_the_rank_state(draw):
+    """A support of Q1-Q10 of any size, so on both sides of the floor,
+    with Gaussian weights or tied ones in {-2, ..., 2}: as drawn, fully
+    compressed, or compressed with one weight redrawn, each a third of
+    the time."""
+    d = draw(st.integers(1, 10))
+    rnd = draw(st.randoms(use_true_random=True))
+    gauss = draw(st.booleans())
+    weight = lambda: rnd.gauss(0, 1) if gauss else float(rnd.randint(-2, 2))
+    support = rnd.sample(range(1 << d), rnd.randint(1, 1 << d))
+    vec = WeightVector(d, {s: weight() for s in support})
+    kind = draw(st.integers(0, 2))
+    if kind:
+        vec, _ = fully_compress(vec)
+    if kind == 2:
+        vec = WeightVector(d, {**vec.weights, rnd.randrange(1 << d): weight()})
+    return vec
+
+
+@settings(max_examples=200, deadline=None)
+@given(vectors_for_the_rank_state())
+def test_rank_state_matches_the_weight_dict(vec):
+    _assert_rank_state_matches_dict(vec)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_state_matches_the_weight_dict_at_bench_size(seed):
+    # Gaussian weights on 256-512 vertices of Q12
+    rnd = random.Random(seed)
+    support = rnd.sample(range(1 << 12), rnd.randint(256, 512))
+    vec = WeightVector(12, {s: rnd.gauss(0, 1) for s in support})
+    assert type(_state(vec)) is _Ranks
+    _assert_rank_state_matches_dict(vec)
+
+
+def test_rank_potential_is_exact_past_int64():
+    # n slots below 2^d and ranks of at most n: int64 while n^2 2^d < 2^63
+    n = 128
+    for d in (48, 50):
+        slots = np.arange((1 << d) - n, 1 << d, dtype=np.int64)
+        for ranks in (np.full(n, n), np.full(n, -n), np.arange(-n, n, 2)):
+            exact = sum(int(s) * int(r) for s, r in zip(slots, ranks))
+            assert _rank_dot(slots, ranks, d) == exact
+    assert _rank_dot(slots, np.full(n, n), 50) >= 1 << 63   # past int64
