@@ -24,7 +24,8 @@ compressed n-family use elements at most n-1, which bounds it too).  A
 family is then a row of two uint64 bitsets over the universe, its
 absent and its open vertices, and the DFS expands blocks of rows of one
 depth at once, on an explicit stack, so its memory stays bounded at any
-depth; the last depth gives (F, n) arrays of sorted members.
+depth; the last depth gives (F, U) boolean member matrices over the
+universe, and only a family that is certified becomes an array of masks.
 
 A certified family is an interval [lo, hi] for its lambda1 (`lambda1`'s
 `SpectralResult.interval()`).  Families rank by lo; the maximizers are
@@ -37,14 +38,17 @@ A = [[0, B], [B^T, 0]] with the even members as B's rows, and lambda1^2
 is the top eigenvalue of B B^T.  `_screen` gives each family an upper
 bound u: the square root of the Collatz-Wielandt ratio
 max_v (B B^T x)_v / x_v over the even members, at the positive x reached
-by SCREEN_STEPS batched steps x <- B B^T x, rounded up past lambda1 by
-a relative 1 + (n + 3) eps/2.  `lambda1` then certifies families in
-order of decreasing u, and stops at the first family with u + w below
-the best lo and u below the lowest reported lo, w = max(tol, `lambda1`'s
-rounding floor at u).  The stop is exact: no lo exceeds lambda1, so none
-exceeds u, and `lambda1` returns a hi of at most lo + w unless it reaches
-its step cap.  No family left uncertified can therefore be a maximizer or
-a runner-up: the result is the one that certifying every family gives.
+by SCREEN_STEPS steps x <- B B^T x, rounded up past lambda1 by a
+relative 1 + (n + 3) eps/2.  The steps run on the walk's member rows:
+one B over the universe vertices that a block uses, masked per row, in
+products small enough for one BLAS thread.  `lambda1` then certifies
+families in order of decreasing u, and stops at the first family with
+u + w below the best lo and u below the lowest reported lo,
+w = max(tol, `lambda1`'s rounding floor at u).  The stop is exact: no lo
+exceeds lambda1, so none exceeds u, and `lambda1` returns a hi of at
+most lo + w unless it reaches its step cap.  No family left uncertified
+can therefore be a maximizer or a runner-up: the result is the one that
+certifying every family gives.
 
 The partition machinery decomposes a compressed family into blocks of
 small internal degree plus disjoint star-ball neighbourhoods around
@@ -74,7 +78,7 @@ import numpy as np
 from .compress import _prerequisites, is_compressed
 from .core import (MAX_DIM, VertexFamily, _found, _sorted_masks, cube_graph,
                    star_family, vertex_str)
-from .spectral import DEFAULT_TOL, _bipartite_stack, lambda1, star_value
+from .spectral import DEFAULT_TOL, _bipartite_dense, lambda1, star_value
 
 # Steps on B B^T before the screen's Collatz-Wielandt ratio: more steps
 # leave fewer families to `lambda1`, and no count, 0 included, alters a
@@ -82,10 +86,12 @@ from .spectral import DEFAULT_TOL, _bipartite_stack, lambda1, star_value
 # send no more families to `lambda1` than 6 do; 3 send more at (56, 10).
 SCREEN_STEPS = 4
 
-# Bound on the entries of one (F, E, O) screen stack: F is
-# SCREEN_ENTRIES // n**2 families (at least one), and E, O <= n, so at
-# most 512 KB of float64.
-SCREEN_ENTRIES = 1 << 16
+# Bound on m k n for each (m x k) (k x n) product of the screen: rows of
+# SCREEN_PRODUCT // (E O) families (at least one) on E even and O odd
+# columns.  OpenBLAS runs a dgemm of at most 2**18 on one thread; on a
+# 2-core host a (1180 x 38) (38 x 38) product took 4.1-8.0 ms on two
+# threads and 0.09 ms on one.
+SCREEN_PRODUCT = 1 << 18
 
 # Bound on one step of `_walk`: a block of WALK_WORDS // (n W) rows (at
 # least one), each family of at most n - 1 members, has at most n - 1
@@ -174,7 +180,8 @@ def _walk_tables(n: int, top: int):
 
 def _walk(n: int, cap_dim: int):
     """Yield the compressed families of size n with elements <= cap_dim
-    as (F, n) uint64 arrays of sorted members, each family once, all of
+    in blocks, each an (F, U) boolean member matrix over the universe
+    with the universe's U ascending vertices: each family once, all of
     them in the lex order of their members (`enumerate_compressed`).
 
     A row is one family, held as two bitsets over the universe
@@ -193,7 +200,8 @@ def _walk(n: int, cap_dim: int):
     WALK_WORDS // (n W) rows of one depth: an explicit stack keeps, per
     depth, the rows not yet expanded, each block's children come out of
     one `nonzero` over its unpacked open bits in lex order, and the
-    children of a block of the last inner depth are the leaves."""
+    children of a block of the last inner depth are the leaves: its
+    unpacked members with one more column set."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if cap_dim < 1 or n > 2**cap_dim:
@@ -201,7 +209,7 @@ def _walk(n: int, cap_dim: int):
             f"cap_dim={cap_dim} too small for a compressed family of size {n}"
         )
     if n == 1:
-        yield np.zeros((1, 1), dtype=np.uint64)
+        yield np.ones((1, 1), dtype=bool), np.zeros(1, dtype=np.uint64)
         return
     verts, words, table = _walk_tables(n, 1 << min(cap_dim, n - 1))
     size = max(1, WALK_WORDS // (n * words))
@@ -229,11 +237,9 @@ def _walk(n: int, cap_dim: int):
         if len(stack) == n - 1:
             have = np.unpackbits((~block[:, :words]).view(np.uint8), axis=1,
                                  count=len(verts), bitorder="little")
-            members = have.view(bool).ravel().nonzero()[0] % len(verts)
-            leaves = np.empty((len(u), n), dtype=np.uint64)
-            leaves[:, :-1] = verts[members.reshape(len(block), n - 1)[parent]]
-            leaves[:, -1] = verts[u]
-            yield leaves
+            leaves = have.view(bool)[parent]
+            leaves[np.arange(len(u)), u] = True
+            yield leaves, verts
             continue
         step = table[u]
         child = block[parent]
@@ -249,8 +255,8 @@ def enumerate_compressed(n: int, cap_dim: int):
     """Yield the sorted members of every compressed family of size n with
     elements <= cap_dim, each family exactly once, in the lex order of
     the sorted members (`_walk`)."""
-    for block in _walk(n, cap_dim):
-        yield from map(tuple, block.tolist())
+    for rows, verts in _walk(n, cap_dim):
+        yield from map(tuple, verts[rows.nonzero()[1]].reshape(-1, n).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -273,56 +279,53 @@ class SearchResult:
         return self.maximizers[0]
 
 
-def _screen(chunk: np.ndarray) -> np.ndarray:
+def _screen(rows: np.ndarray, verts: np.ndarray) -> np.ndarray:
     """Each family's Collatz-Wielandt bound on lambda1, rounded up past
-    lambda1; `chunk` is an (F, n) uint64 array, each row the sorted
-    members of a compressed family.
+    lambda1; `rows` is an (F, U) boolean member matrix over the ascending
+    vertices `verts`, each row a compressed family (`_walk`).
 
-    lambda1^2 is the top eigenvalue of B B^T on the even side
-    (`_bipartite_stack`), and max_v (B B^T x)_v / x_v bounds it for any
-    positive x.  A compressed family is down-closed, so connected: for
-    n >= 2 every even member has a neighbour, and B B^T is irreducible
-    on the even members with their degrees on its diagonal, so steps
-    from the ones on those rows keep x positive there.  A one-vertex
-    family has no edge and gets u = 0."""
-    chunk = np.asarray(chunk, dtype=np.uint64)
-    n = chunk.shape[1]
-    if n == 1:
-        return np.zeros(len(chunk))
-    b = _bipartite_stack(chunk)[0]
-    # x as (F, 1, E) rows, ones on the padded rows too: B is zero there,
-    # so B^T x reads only the even members, and x = B B^T x = 0 there
-    # after a step
-    x = np.ones((len(b), 1, b.shape[1]))
-    for _ in range(SCREEN_STEPS):
-        x = x @ b @ b.mT
-        x /= x.max(axis=2, keepdims=True)
-    ratio = x @ b @ b.mT / np.where(x > 0, x, 1.0)   # 0 on padded rows
-    # Rounding, in eps = 2**-52, to first order.  The sums of B^T x and
-    # B (B^T x) make at most e - 1 and o - 1 additions of nonnegative
-    # terms (e + o = n members), and the division one rounding, so each
-    # ratio is within (n - 1) eps/2 of exact.  The square root halves
-    # that and rounds once: sqrt(ratio) >= lambda1 (1 - (n + 1) eps/4).
-    # With eps/2 for the product below, that is (n + 3) eps/4, and
-    # 1 + (n + 3) eps/2 leaves as much again for second-order terms.
+    lambda1^2 is the top eigenvalue of B B^T on the even side, and
+    max_v (B B^T x)_v / x_v bounds it for any positive x.  A compressed
+    family is down-closed, so connected: for n >= 2 every even member has
+    a neighbour, and B B^T is irreducible on the even members with their
+    degrees on its diagonal, so steps from the ones on those rows keep x
+    positive there.  A one-vertex family has no edge and gets u = 0.
+
+    The columns some row uses split by parity, and `a` is B on all of
+    them (`_bipartite_dense`).  With se and so a row's even and odd
+    members as 0/1 floats, a step x <- se (((x a) so) a^T) is a step on
+    that row's own B B^T: x is 0 off its even members, and so drops
+    the odd columns it lacks.  Each product takes SCREEN_PRODUCT // (E O)
+    rows at most."""
+    used = np.flatnonzero(rows.any(axis=0))
+    a, odd = _bipartite_dense(verts[used])
+    if not odd.any():       # no family, or the one-vertex family
+        return np.zeros(len(rows))
+    evens, odds = used[~odd], used[odd]
+    size = max(1, SCREEN_PRODUCT // a.size)
+    ratios = []
+    for start in range(0, len(rows), size):
+        se = rows[start:start + size, evens].astype(float)
+        so = rows[start:start + size, odds].astype(float)
+        x = se
+        for _ in range(SCREEN_STEPS):
+            x = se * ((x @ a * so) @ a.T)
+            x /= x.max(axis=1, keepdims=True)
+        y = se * ((x @ a * so) @ a.T)
+        ratios.append((y / np.where(x > 0, x, 1.0)).max(axis=1))
+    # Rounding, in eps = 2**-52, to first order.  A product with a 0/1
+    # entry of `a`, se or so is exact, and an exact zero adds no error,
+    # so each entry of x a and of (x a so) a^T is a sum, in whatever order
+    # the GEMM takes, of at most e and o nonnegative terms of the row's
+    # own B (e + o = n members): at most e - 1 and o - 1 roundings.  With
+    # the division's one rounding each ratio is within (n - 1) eps/2 of
+    # exact.  The square root halves that and rounds once:
+    # sqrt(ratio) >= lambda1 (1 - (n + 1) eps/4).  With eps/2 for the
+    # product below, that is (n + 3) eps/4, and 1 + (n + 3) eps/2 leaves
+    # as much again for second-order terms.
+    n = int(rows[0].sum())
     round_up = 1 + (n + 3) * np.finfo(float).eps / 2
-    return np.sqrt(ratio.max(axis=(1, 2))) * round_up
-
-
-def _runs(blocks, size: int):
-    """The rows of the arrays `blocks`, read one after another, as
-    consecutive arrays of `size` rows, the last one possibly shorter."""
-    parts, have = [], 0
-    for block in blocks:
-        while len(block):
-            parts.append(block[:size - have])
-            have += len(parts[-1])
-            block = block[len(parts[-1]):]
-            if have == size:
-                yield np.concatenate(parts) if len(parts) > 1 else parts[0]
-                parts, have = [], 0
-    if parts:
-        yield np.concatenate(parts) if len(parts) > 1 else parts[0]
+    return np.sqrt(np.concatenate(ratios)) * round_up
 
 
 def _split(ranked, top_k: int):
@@ -365,15 +368,14 @@ def max_lambda1(n: int, d: int, tol: float = DEFAULT_TOL, top_k: int = 3,
     restricted = d < n - 1
     cap_dim = min(d, max(n - 1, 1))
     blocks, count, complete = [], 0, True
-    for block in _walk(n, cap_dim):
+    for block, verts in _walk(n, cap_dim):
         blocks.append(block)
         count += len(block)
         if max_families is not None and count > max_families:
             blocks[-1] = block[:len(block) - count + max_families]
             count, complete = max_families, False
             break
-    chunk = max(1, SCREEN_ENTRIES // (n * n))
-    bounds = np.concatenate([_screen(rows) for rows in _runs(blocks, chunk)])
+    bounds = np.concatenate([_screen(rows, verts) for rows in blocks])
     starts = list(accumulate(map(len, blocks), initial=0))
 
     def by_rank(row):   # lower end descending, then members
@@ -393,7 +395,7 @@ def max_lambda1(n: int, d: int, tol: float = DEFAULT_TOL, top_k: int = 3,
             if len(runners) == top_k and u + w < ranked[0][0] and u < floor:
                 break
         k = bisect_right(starts, i) - 1
-        members = blocks[k][i - starts[k]].copy()
+        members = verts[blocks[k][i - starts[k]]]
         fam = VertexFamily._of_sorted(cap_dim, members)
         insort(ranked, (*lambda1(fam, tol).interval(),
                         tuple(members.tolist()), fam), key=by_rank)

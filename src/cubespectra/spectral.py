@@ -11,13 +11,13 @@ Three solvers live here:
   their square roots, rounded outward by a margin derived from the sums
   the code performs, are a certified interval in floating point, and
   the iteration stops on its width.  Up to 64 vertices M is dense,
-  formed by an XOR test on the family's `vertices` (`_bipartite_stack`,
-  which `search`'s screen stacks for many families at once).  Above that
-  M is applied through sparse B and B^T: the block with the smaller side
-  as rows, from one bit-flip lookup per row, and its transpose.  The
-  iteration starts from a Lanczos Ritz vector (method "lanczos"), which
-  leaves it a handful of steps instead of a few hundred; the certificate
-  does not depend on the start.
+  formed by an XOR test on the family's `vertices` (`_bipartite_dense`,
+  which `search`'s screen also runs on the vertices a block of families
+  uses).  Above that M is applied through sparse B and B^T: the block
+  with the smaller side as rows, from one bit-flip lookup per row, and
+  its transpose.  The iteration starts from a Lanczos Ritz vector
+  (method "lanczos"), which leaves it a handful of steps instead of a
+  few hundred; the certificate does not depend on the start.
 
 * `hamming_lambda1_exact` -- the Hamming ball's Perron vector is uniform
   on each level, which collapses the eigenproblem to an (i+1)x(i+1)
@@ -98,8 +98,8 @@ def lambda1(fam: VertexFamily, tol: float = DEFAULT_TOL) -> SpectralResult:
     # numpy's or scipy's order, not a BLAS kernel's, so the bits of the
     # result do not depend on the kernel the CPU selects.
     if n <= 64:
-        stack, evens, odds = _bipartite_stack(fam.vertices[None])
-        b, masks = stack[0], np.concatenate((evens[0], odds[0]))
+        b, odd = _bipartite_dense(fam.vertices)
+        masks = np.concatenate((fam.vertices[~odd], fam.vertices[odd]))
         mat = b @ b.T   # small integers: exact on every kernel
         matvec = lambda v: np.add.reduce(mat * v, axis=1)
         lift = lambda v: np.add.reduce(b * v[:, None], axis=0)
@@ -239,29 +239,15 @@ def _bipartite_blocks(fam: VertexFamily):
     return b, bt, np.concatenate((evens, odds))
 
 
-def _bipartite_stack(masks: np.ndarray):
-    """B, as floats, of the cube subgraph on each row of the (F, n) uint64
-    stack `masks`, with the (F, E) even and (F, O) odd masks that order
-    B's rows and columns, each side in the order of its row of `masks`.
-    E and O are the stack's largest even and odd sides.  A family's rows
-    and columns past its own sides are zeroed by an explicit mask (its
-    masks there are 0): at d = 64 every mask value can be a vertex, so
-    none is free to pad with."""
+def _bipartite_dense(masks: np.ndarray):
+    """B, as floats, of the cube subgraph on the uint64 masks `masks`,
+    with the parity of each mask: B's rows are the even masks and its
+    columns the odd ones, each side in the order of `masks`."""
     odd = np.bitwise_count(masks) & 1 == 1
-    n_odd = odd.sum(axis=1)
-    n_even = masks.shape[1] - n_odd
-    real_even = np.arange(n_even.max()) < n_even[:, None]
-    real_odd = np.arange(n_odd.max()) < n_odd[:, None]
-    evens = np.zeros(real_even.shape, dtype=np.uint64)
-    evens[real_even] = masks[~odd]
-    odds = np.zeros(real_odd.shape, dtype=np.uint64)
-    odds[real_odd] = masks[odd]
     # an even and an odd mask differ, so they are adjacent exactly when
     # their XOR has one bit set
-    b = np.bitwise_count(evens[:, :, None] ^ odds[:, None, :]) == 1
-    b &= real_even[:, :, None]
-    b &= real_odd[:, None, :]
-    return b.astype(float), evens, odds
+    b = np.bitwise_count(masks[~odd, None] ^ masks[odd]) == 1
+    return b.astype(float), odd
 
 
 # ---------------------------------------------------------------------------

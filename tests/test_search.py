@@ -204,6 +204,14 @@ def certify_all(n, d, tol=1e-10, top_k=3, max_families=None):
                                d < n - 1, complete)
 
 
+def universe_rows(families):
+    """Member tuples as `_screen` takes them: an (F, U) boolean member
+    matrix over the U ascending vertices the families use."""
+    verts = sorted({v for ms in families for v in ms})
+    rows = np.array([[v in ms for v in verts] for ms in map(set, families)])
+    return rows, np.array(verts, dtype=np.uint64)
+
+
 def result_fields(res):
     """Every field of a SearchResult, floats by repr."""
     return (res.n, res.d, repr(res.best_lambda1),
@@ -246,7 +254,7 @@ def test_screened_search_matches_certify_all_below_rounding():
     # which is at most (8n + 40) 2**-53 u.
     for n in range(2, 16):
         families = list(enumerate_compressed(n, n - 1))
-        for u, ms in zip(search._screen(families), families):
+        for u, ms in zip(search._screen(*universe_rows(families)), families):
             res = lambda1(VertexFamily(n - 1, frozenset(ms)), tol=1e-300)
             assert not res.converged
             assert res.error_bound <= (8 * n + 40) * 2.0**-53 * u
@@ -351,12 +359,56 @@ def test_screen_bounds_every_lower_end(monkeypatch, steps):
     for n in range(1, 17):
         fams = [VertexFamily(max(n - 1, 1), frozenset(ms))
                 for ms in enumerate_compressed(n, max(n - 1, 1))]
-        bounds = search._screen([f.sorted_members() for f in fams])
+        bounds = search._screen(*universe_rows([f.sorted_members()
+                                                 for f in fams]))
         for fam, u in zip(fams, bounds):
             assert u >= lambda1(fam).interval()[0], (n, fam.sorted_members())
             if steps == 0:
                 assert 0 <= u - sqrt(even_neighbour_degree_sum(fam)) < 1e-12
                 assert u <= classic_bounds(fam)["fms"] + 1e-12
+
+
+def test_screen_bounds_the_exact_lambda1(monkeypatch):
+    # lambda1 at 40 digits from each family's adjacency matrix (mpmath, an
+    # oracle that shares no code with the screen) on every compressed
+    # family with n <= 14 at d = n - 1, and on a block whose second family,
+    # connected but not compressed, lacks the even vertex 0 of the first
+    # and holds its four odd neighbours.  After 200 steps the bound meets
+    # lambda1 to within rounding, so the screen runs each family's own
+    # B B^T.
+    import mpmath
+    cases = [list(enumerate_compressed(n, max(n - 1, 1))) for n in range(1, 15)]
+    cases.append([(0, 1), (1, 2, 3, 4, 8, 9, 12)])
+    bounds = [search._screen(*universe_rows(families)) for families in cases]
+    monkeypatch.setattr(search, "SCREEN_STEPS", 200)
+    for families, loose in zip(cases, bounds):
+        tight = search._screen(*universe_rows(families))
+        for ms, u, t in zip(families, loose.tolist(), tight.tolist()):
+            adjacency = [[int((v ^ w).bit_count() == 1) for w in ms]
+                         for v in ms]
+            with mpmath.workdps(40):
+                exact = max(mpmath.eigsy(mpmath.matrix(adjacency),
+                                         eigvals_only=True))
+                assert mpmath.mpf(u) >= exact, ms
+                assert exact <= mpmath.mpf(t) <= exact * (1 + 1e-12), ms
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_screen_products_keep_the_search(monkeypatch, rows):
+    # Products of one or of three rows at a time leave every bound a
+    # bound, and the search its result.
+    screen = search._screen
+
+    def sized(members, verts):
+        odd = np.bitwise_count(verts[members.any(axis=0)]) & 1
+        monkeypatch.setattr(search, "SCREEN_PRODUCT",
+                            rows * int(odd.sum()) * int((1 - odd).sum()))
+        return screen(members, verts)
+
+    monkeypatch.setattr(search, "_screen", sized)
+    for n, d in ((20, 19), (28, 27), (30, 8)):
+        assert (result_fields(max_lambda1(n, d))
+                == result_fields(certify_all(n, d))), (n, d)
 
 
 def test_walk_matches_recursive_reference_on_wide_universes():
@@ -418,8 +470,8 @@ def test_tied_bounds_certify_in_member_order(monkeypatch):
         calls.append(fam.sorted_members())
         return lambda1(fam, tol)
 
-    def bound(chunk):
-        return 9.0 + np.asarray(chunk).sum(axis=1) % 3
+    def bound(rows, verts):
+        return 9.0 + (rows * verts).sum(axis=1) % 3
 
     monkeypatch.setattr(search, "lambda1", counted)
     monkeypatch.setattr(search, "_screen", bound)

@@ -267,43 +267,30 @@ def test_dense_lambda1_builds_no_cube_graph(monkeypatch):
         assert abs(res.lambda1 - brute_lambda1(fam.members, fam.d)) < 1e-9
 
 
-def test_bipartite_stack_is_the_even_by_odd_block_of_a():
-    # Every stack mixes families with different even sides, so rows and
-    # columns are padded; in Q_64 the members hold bits 62 and 63, and no
-    # mask value is free to pad with.
+def test_bipartite_dense_is_the_even_by_odd_block_of_a():
+    # Families with different even sides, and in Q_64 members that hold
+    # bits 62 and 63, where every mask value can be a vertex.
     rng = random.Random(16)
     high = [low | top for low in range(16)
             for top in (0, 1 << 62, 1 << 63, 3 << 62)]
-    stacks = [[[0], [1 << 63], [3 << 62], [1 << 62 | 1]], [[0], [3 << 62]],
-              [[0, 1], [0, 1 << 63], [1 << 62, 3 << 62]]]
+    families = [[0], [1 << 63], [3 << 62], [1 << 62 | 1], [0], [3 << 62],
+                [0, 1], [0, 1 << 63], [1 << 62, 3 << 62]]
     for n in (2, 3, 7, 30):
         for pool in (range(2**5), high):
-            stacks.append([sorted(rng.sample(pool, n)) for _ in range(6)])
-    padded = 0
-    for rows in stacks:
-        masks = np.array(rows, dtype=np.uint64)
-        b, even_masks, odd_masks = spectral._bipartite_stack(masks)
-        even = np.bitwise_count(masks) % 2 == 0
-        assert b.shape == (len(rows), even.sum(axis=1).max(),
-                           (~even).sum(axis=1).max())
-        assert even_masks.shape == b.shape[:2]
-        assert odd_masks.shape == (len(rows), b.shape[2])
-        for f, members in enumerate(rows):
-            evens = [v for v in members if v.bit_count() % 2 == 0]
-            odds = [v for v in members if v.bit_count() % 2 == 1]
-            want = np.zeros((len(evens), len(odds)))
-            for u, v in brute_edges(members, 64):
-                if u in odds:
-                    u, v = v, u
-                want[evens.index(u), odds.index(v)] = 1.0
-            e, o = want.shape
-            assert np.array_equal(b[f, :e, :o], want)
-            assert not b[f, e:].any() and not b[f, :, o:].any()
-            assert even_masks[f, :e].tolist() == evens
-            assert odd_masks[f, :o].tolist() == odds
-            assert not even_masks[f, e:].any() and not odd_masks[f, o:].any()
-            padded += b.shape[1:] != (e, o)
-    assert padded >= 20
+            families += [sorted(rng.sample(pool, n)) for _ in range(6)]
+    for members in families:
+        masks = np.array(members, dtype=np.uint64)
+        b, odd = spectral._bipartite_dense(masks)
+        evens = [v for v in members if v.bit_count() % 2 == 0]
+        odds = [v for v in members if v.bit_count() % 2 == 1]
+        want = np.zeros((len(evens), len(odds)))
+        for u, v in brute_edges(members, 64):
+            if u in odds:
+                u, v = v, u
+            want[evens.index(u), odds.index(v)] = 1.0
+        assert np.array_equal(b, want)
+        assert masks[~odd].tolist() == evens
+        assert masks[odd].tolist() == odds
 
 
 def test_lambda1_with_isolated_odd_vertices():
