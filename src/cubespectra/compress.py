@@ -14,27 +14,34 @@ steps until nothing moves.  The per-coordinate binary rearrangement is
 a separate operation: compressed objects (Hamming balls, say) need not
 be fixpoints of it, so it cannot join the fixpoint schedule.
 
-A family is decided member by member, in O(|S|) lookups each: member S
-*passes* when every shadow S - {e} and every adjacent shift
-S - {e} + {e-1}, e-1 not in S, is a member.  Every member of F passes
-exactly when F is compressed.  Down-closure is the shadows.  For a swap
-S - {hi} + {lo}, lo < hi, hi in S, lo not in S, induct on hi - lo, an
-adjacent shift at 1: if hi-1 is not in S, shift hi to hi-1, then hi-1
-to lo; if hi-1 is in S, shift hi-1 to lo, then hi to hi-1.  Each move
-is a shorter swap of a member, and the two give S - {hi} + {lo} (the
-shifting argument of Frankl, 1987).  A member that passes still passes
-in a larger family, so a compressed F plus a vertex whose shadows and
-adjacent shifts lie in F is compressed: the search grows families so.
+Whether a vector or family is compressed is decided by d local steps
+(`_local_steps`): the down-step ({1}, empty) and the adjacent swap steps
+({e}, {e-1}), e = 2..d.  A family is decided member by member, in at
+most |S| lookups each: member S *passes* when its prerequisites
+(`_prerequisites`), S - {1} if 1 is in S and each adjacent shift
+S - {e} + {e-1}, e-1 not in S, are members.  Every member of F passes
+exactly when F is compressed.  Down-closure: S - {e} lies in F for every
+member S holding e, by induction on e.  For e = 1 it is checked.  If
+e-1 is not in S, shift e to e-1, then drop e-1 from that member; if e-1
+is in S, drop e-1, then shift e to e-1 in S - {e-1}.  Each drop is the
+case e-1.  For a swap S - {hi} + {lo}, lo < hi, hi in S, lo not in S,
+induct on hi - lo, an adjacent shift at 1: if hi-1 is not in S, shift
+hi to hi-1, then hi-1 to lo; if hi-1 is in S, shift hi-1 to lo, then hi
+to hi-1.  Each move is a shorter swap of a member, and the two give
+S - {hi} + {lo} (the shifting argument of Frankl, 1987).  A member
+that passes still passes in a larger family, so a compressed F plus a
+vertex whose prerequisites lie in F is compressed: the search grows
+families so.
 
 A weight vector is decided the same way on its support, in O(|supp| d)
-lookups.  The two moves of the shifting argument chain, and <= is
-transitive on finite weights, so w is compressed exactly when no w(S)
-exceeds the weight of a shadow or an adjacent shift of S, an absent
-vertex weighing 0.  So a positive w(S) needs its shadows and adjacent
-shifts present with at least its weight, and a negative w(T) needs its
-up-neighbours and reverse adjacent shifts present with at most its
-weight.  `fully_compress` sweeps while the test fails, so its last sweep
-is never a silent one.
+lookups.  The moves of both inductions chain, and <= is transitive on
+finite weights, so w is compressed exactly when no w(S) exceeds the
+weight of a prerequisite of S, an absent vertex weighing 0.  So a
+positive w(S) needs its prerequisites present with at least its weight,
+and a negative w(T) needs its successors (`_successors`, the vertices
+whose prerequisites hold T) present with at most its weight.
+`fully_compress` sweeps while the test fails, so its last sweep is
+never a silent one.
 
 When 2^d <= 2nd (`core.dense_fits`, the rule by which `core.flip_csr`
 picks its direct-address table), an n-member family is held as one
@@ -43,25 +50,25 @@ whose bit s is set iff s contains coordinate b + 1, the (U,V)-step with
 u = 2^(hi-1) and v = 2^(lo-1) or 0 moves the members
 bits & P_hi & ~P_lo & ~(bits << (u - v)) down by u - v: a few operations
 on whole ints, in place of a Python scan of the members.  The member
-test is the same operation for the d down-steps and the d - 1 adjacent
-swap steps.  Larger d keep the member sets, and `_movers` and
-`compress_family_uv` stay the reference for both.
+test asks whether a local step has a mover.  Larger d keep the member
+sets, and the set `_movers` and `compress_family_uv` stay the reference
+for both.
 
 A weight vector of n >= `_RANK_FLOOR` weights with `dense_fits(d, n)`
 is held as the rank of its weight on every slot of Q_d, 0 for an absent
 slot.  A (U,V)-step gathers its pairs, the slots holding V and not U and
 the slots u - v above them, and swaps the pairs whose upper slot
-outranks the lower; the local test asks whether a down-step or an
-adjacent swap step has such a pair.  The result must be the dict that
-`_swap_weights` leaves, keys in the same order, since `rayleigh` and
-`norm_squared` sum in that order.  `_swap_weights` keeps a key where
-it is while its slot stays present; a swap fills the absent side of a
-pair exactly when one side is present, appending that key and deleting
-the other, and it visits such pairs in the order of their present key.
-So every present slot keeps an insertion number, a step numbers the
-slots it fills afresh in increasing order of their partners' numbers,
-and `result()` lists the present slots by number: the same keys in the
-same order, with the same values.  Below the floor the dict is faster:
+outranks the lower; the local test asks whether a local step has such
+a pair.  The result must be the dict that `_swap_weights` leaves, keys
+in the same order, since `rayleigh` and `norm_squared` sum in that
+order.  `_swap_weights` keeps a key where it is while its slot stays
+present; a swap fills the absent side of a pair exactly when one side
+is present, appending that key and deleting the other, and it visits
+such pairs in the order of their present key.  So every present slot
+keeps an insertion number, a step numbers the slots it fills afresh in
+increasing order of their partners' numbers, and `result()` lists the
+present slots by number: the same keys in the same order, with the same
+values.  Below the floor the dict is faster:
 at d = 6-8 and n = 16-32 the array took 1.9-2.7 times as long, and at
 d = 7-10 the two cross near n = 80.  `_Weights` and `_swap_weights` stay
 for smaller and sparser vectors and are the reference for the array.
@@ -280,36 +287,21 @@ def _uv_steps(d: int) -> tuple[tuple[int, int], ...]:
                          for lo in range(1, d + 1) for hi in range(lo + 1, d + 1))
 
 
-def _member_fails(s: int, members) -> bool:
-    """True when a shadow s - {e} or an adjacent shift s - {e} + {e-1},
-    e-1 not in s, of s is absent from `members` (see the module
-    docstring: no member of a family fails exactly when it is
-    compressed)."""
-    m = s
-    while m:
-        low = m & -m
-        if s ^ low not in members:
-            return True
-        m ^= low
-    m = s & ~(s << 1) & ~1              # elements e of s, e-1 not in s, e > 1
-    while m:
-        low = m & -m
-        if s ^ low ^ low >> 1 not in members:
-            return True
-        m ^= low
-    return False
+@functools.cache      # every local test reads it
+def _local_steps(d: int) -> tuple[tuple[int, int], ...]:
+    """The d steps of the local test, all in `_uv_steps(d)`: the
+    down-step ({1}, empty), then the adjacent swap steps ({e}, {e-1}),
+    e = 2..d.  A state passes them exactly when it is compressed (module
+    docstring)."""
+    return tuple((1 << b, 1 << b >> 1) for b in range(d))
 
 
 def _prerequisites(s: int) -> tuple[int, ...]:
-    """The vertices `_member_fails` looks up for s, in its order: s fails
-    in `members` exactly when one of them is absent."""
+    """s's partners under the local steps that move s, in increasing
+    coordinate: s - {1} when 1 is in s, and each adjacent shift
+    s - {e} + {e-1}, e in s, e-1 not in s.  At most |s| of them."""
     pre = []
-    m = s
-    while m:
-        low = m & -m
-        pre.append(s ^ low)
-        m ^= low
-    m = s & ~(s << 1) & ~1
+    m = s & ~(s << 1)                   # e in s, and e = 1 or e-1 not in s
     while m:
         low = m & -m
         pre.append(s ^ low ^ low >> 1)
@@ -318,19 +310,14 @@ def _prerequisites(s: int) -> tuple[int, ...]:
 
 
 def _successors(s: int, d: int) -> tuple[int, ...]:
-    """The vertices whose `_prerequisites` include s: its up-neighbours
-    s + {e} and reverse adjacent shifts s - {e-1} + {e}, e not in s, in
-    Q_d."""
+    """The vertices of Q_d whose `_prerequisites` include s: s + {1} when
+    1 is not in s, and each reverse adjacent shift s - {e-1} + {e}, e-1
+    in s, e not in s."""
     out = []
-    m = ((1 << d) - 1) & ~s
+    m = ~s & (s << 1 | 1) & ((1 << d) - 1)  # e not in s, e = 1 or e-1 in s
     while m:
         low = m & -m
-        out.append(s | low)
-        m ^= low
-    m = s & ~(s >> 1) & ((1 << d - 1) - 1)  # e-1 in s, e not in s, e <= d
-    while m:
-        low = m & -m
-        out.append(s ^ low ^ low << 1)
+        out.append(s ^ low ^ low >> 1)
         m ^= low
     return tuple(out)
 
@@ -363,26 +350,20 @@ class _Bitmap:
 
     def fails(self) -> bool:
         """The member test of the module docstring on every member at
-        once: a down-step or an adjacent swap step has a mover."""
-        bits, lacks = self.bits, self.lacks
-        for b, has in enumerate(self.has):
-            cand = bits & has                   # the members holding b + 1
-            if cand & bits << (1 << b) != cand:
-                return True                     # a shadow is absent
-            if b:
-                cand &= lacks[b - 1]            # ... and lacking b
-                if cand & bits << (1 << b - 1) != cand:
-                    return True                 # a shift to b is absent
-        return False
+        once: some local step has a mover."""
+        return any(self._movers(u, v) for u, v in _local_steps(self.d))
 
-    def step(self, u: int, v: int) -> int:
-        bits = self.bits
-        cand = bits & self.has[u.bit_length() - 1]
+    def _movers(self, u: int, v: int) -> int:
+        """The members that the (U,V)-step moves, as bits."""
+        cand = self.bits & self.has[u.bit_length() - 1]
         if v:
             cand &= self.lacks[v.bit_length() - 1]
-        movers = cand ^ (cand & bits << (u - v))     # partner absent
+        return cand ^ (cand & self.bits << (u - v))     # partner absent
+
+    def step(self, u: int, v: int) -> int:
+        movers = self._movers(u, v)
         if movers:
-            self.bits = bits ^ movers ^ movers >> (u - v)
+            self.bits ^= movers ^ movers >> (u - v)
         return (u - v) * movers.bit_count()
 
     def potential(self) -> int:
@@ -411,7 +392,7 @@ class _Members:
 
     def fails(self) -> bool:
         members = self.members
-        return any(_member_fails(s, members) for s in members)
+        return not all(members.issuperset(_prerequisites(s)) for s in members)
 
     def step(self, u: int, v: int) -> int:
         return (u - v) * len(_movers(self.members, u, v))
@@ -443,7 +424,7 @@ class _Weights:
 
     def fails(self) -> bool:
         """The vector test of the module docstring, on the support: some
-        w(S) exceeds the weight of a shadow or an adjacent shift of S."""
+        w(S) exceeds the weight of a prerequisite of S."""
         get = self.weights.get
         for s, w in self.weights.items():
             if w > 0:
@@ -510,14 +491,12 @@ class _Ranks:
 
     def fails(self) -> bool:
         """The vector test of the module docstring on every slot at once:
-        a down-step or an adjacent swap step has a pair out of order."""
+        a local step has a pair out of order."""
         rank, d = self.rank, self.d
-        for b in range(d):
-            u = 1 << b
-            for v in (0, u >> 1) if b else (0,):
-                a = _pair_slots(d, u, v)
-                if (rank[u - v:].take(a) > rank.take(a)).any():
-                    return True
+        for u, v in _local_steps(d):
+            a = _pair_slots(d, u, v)
+            if (rank[u - v:].take(a) > rank.take(a)).any():
+                return True
         return False
 
     def step(self, u: int, v: int) -> int:

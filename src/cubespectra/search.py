@@ -7,10 +7,11 @@ search enumerates exactly those.  A compressed family listed in binary
 order has every prefix compressed (removing the binary-maximal member
 preserves down-closure and shift-stability), so the enumeration is an
 orderly DFS: grow the family one vertex at a time, in increasing binary
-order, keeping only extensions whose lower shadow and adjacent shifts
-are already present: the member-local test that `is_compressed` applies
-to every member, which suffices because a compressed family plus a
-vertex that passes it is compressed (`compress`'s module docstring).
+order, keeping only extensions whose prerequisites, the shadow at
+coordinate 1 and the adjacent shifts, are already present: the
+member-local test that `is_compressed` applies to every member, which
+suffices because a compressed family plus a vertex that passes it is
+compressed (`compress`'s module docstring).
 Members join in increasing order, so each candidate w is tested once,
 when its largest prerequisite joins: by then every other prerequisite
 of w is settled for the whole subtree.  That trigger is w - 1 for odd w
@@ -107,11 +108,11 @@ _ALL = np.uint64((1 << 64) - 1)
 
 def _universe(n: int, top: int):
     """The vertices below `top` whose down-set, their closure under
-    shadows and adjacent shifts, has at most n members: every vertex
-    that can be a member of a compressed n-family below `top`, in
-    increasing order.  Returns them with, for each vertex w > 0, the
-    position of its trigger and its down-set without w, as one int with
-    bit i for position i.
+    `_prerequisites` and so the least compressed family holding them,
+    has at most n members: every vertex that can be a member of a
+    compressed n-family below `top`, in increasing order.  Returns them
+    with, for each vertex w > 0, the position of its trigger and its
+    down-set without w, as one int with bit i for position i.
 
     The trigger of w is its largest prerequisite (`_prerequisites`):
     w - 1 when w is odd, w - lowbit(w)/2 when w is even.  It is smaller

@@ -7,6 +7,7 @@ test are checked against independent routes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import comb
 
@@ -134,6 +135,23 @@ def brute_vector_is_compressed(weights, d: int) -> bool:
                     if not s >> a & 1 and w(s) > w((s ^ (1 << b)) | (1 << a)):
                         return False
     return True
+
+
+@functools.cache
+def brute_down_set(v: int) -> int:
+    """The closure of {v} under every shadow S - {b} and every swap
+    S - {b} + {a}, a < b, a not in S, as an int with bit s set iff s is
+    in it: the least family holding v that the definition calls
+    compressed.  Each shadow and swap of v is smaller than v, so the
+    recursion ends."""
+    bits = 1 << v
+    for b in range(v.bit_length()):
+        if v >> b & 1:
+            bits |= brute_down_set(v ^ 1 << b)
+            for a in range(b):
+                if not v >> a & 1:
+                    bits |= brute_down_set(v ^ 1 << b | 1 << a)
+    return bits
 
 
 def all_subsets_of_cube(d: int, n: int):

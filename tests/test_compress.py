@@ -29,8 +29,11 @@ from cubespectra.compress import (
     _Members,
     _Ranks,
     _Weights,
+    _local_steps,
+    _prerequisites,
     _rank_dot,
     _state,
+    _successors,
     _uv_steps,
 )
 from cubespectra.core import (
@@ -283,11 +286,14 @@ def test_is_compressed_matches_step_application_q4_to_q6(fam):
 
 
 def test_is_compressed_on_every_family_of_q4():
-    # the member test (shadows and adjacent shifts) against the definition
+    # the member test (`_prerequisites`) against the definition, also on
+    # both family states built directly, since `_state` picks the member
+    # sets in Q4 only for n <= 1
     for code in range(1 << 16):
-        members = frozenset(m for m in range(16) if code >> m & 1)
-        assert is_compressed(VertexFamily(4, members))[0] == \
-            brute_is_compressed(members, 4), sorted(members)
+        fam = VertexFamily(4, frozenset(m for m in range(16) if code >> m & 1))
+        ok = brute_is_compressed(fam.members, 4)
+        assert is_compressed(fam)[0] == ok, sorted(fam.members)
+        assert _Bitmap(fam).fails() == _Members(fam).fails() == (not ok), code
 
 
 @st.composite
@@ -453,6 +459,36 @@ def test_is_compressed_on_every_vector_of_q3():
         assert ok == brute_vector_is_compressed(vec.weights, 3), vec.items()
         compressed += ok
     assert 0 < compressed < 4 ** 8
+
+
+def test_vector_states_on_every_vector_of_q3():
+    # both states built directly, since `_state` picks the rank array
+    # only from `_RANK_FLOOR` weights on
+    for ws in itertools.product((-1.0, 0.0, 1.0), repeat=8):
+        vec = WeightVector(3, dict(enumerate(ws)))
+        if vec.weights:
+            fails = not brute_vector_is_compressed(vec.weights, 3)
+            assert _Weights(vec).fails() == _Ranks(vec).fails() == fails, ws
+
+
+def test_prerequisites_are_the_partners_under_the_local_steps():
+    steps = _local_steps(16)
+    assert set(steps) <= set(_uv_steps(16))
+    for s in range(1 << 16):
+        pre = _prerequisites(s)
+        assert len(pre) <= s.bit_count()
+        assert pre == tuple(s ^ u ^ v for u, v in steps if s & (u | v) == u), s
+
+
+def test_successors_invert_the_prerequisites():
+    for d in range(1, 11):
+        before = {t: set() for t in range(1 << d)}
+        for t in range(1 << d):
+            for s in _prerequisites(t):
+                before[s].add(t)
+        for s in range(1 << d):
+            out = _successors(s, d)
+            assert len(out) == len(before[s]) and set(out) == before[s], (d, s)
 
 
 @st.composite

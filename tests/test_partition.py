@@ -427,7 +427,8 @@ def _reference_outcomes(cert, fam):
 
 def _compressed_closure(generators):
     """The smallest compressed family holding `generators`: close under
-    the shadows and adjacent shifts that the member test looks up."""
+    the prerequisites that the member test looks up, the shadow at
+    coordinate 1 and the adjacent shifts."""
     members, todo = set(), list(generators)
     while todo:
         v = todo.pop()

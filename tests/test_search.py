@@ -5,11 +5,10 @@ from math import sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from conftest import brute_is_compressed, brute_lambda1
+from conftest import brute_down_set, brute_is_compressed, brute_lambda1
 from cubespectra import search
-from cubespectra.compress import _member_fails, _prerequisites, is_compressed
+from cubespectra.compress import _prerequisites, is_compressed
 from cubespectra.core import VertexFamily, cube_graph, vertex_of
 from cubespectra.search import enumerate_compressed, max_lambda1, verify_star_regime
 from cubespectra.spectral import SpectralResult, classic_bounds, lambda1
@@ -84,18 +83,6 @@ def test_enumeration_matches_brute_filter():
         )
         enum = sorted(frozenset(ms) for ms in enumerate_compressed(n, 4))
         assert enum == brute, n
-
-
-@settings(max_examples=1000)
-@given(st.integers(0, 2**10 - 1), st.sets(st.integers(0, 55), max_size=3))
-def test_prerequisites_decide_the_member_test(v, absent):
-    # every prerequisite lies within distance 2 of v, among the 56
-    # vertices of `near`; S lacks a few of them, so both outcomes occur
-    flips = [0] + [1 << a for a in range(10)]
-    near = sorted({v ^ x ^ y for x in flips for y in flips})
-    members = {u for k, u in enumerate(near) if k not in absent}
-    assert (_member_fails(v, members)
-            == any(p not in members for p in _prerequisites(v)))
 
 
 def test_enumeration_families_are_compressed_and_unique():
@@ -503,3 +490,16 @@ def test_universe_is_every_vertex_with_a_small_down_set():
         top = 1 << min(cap, n - 1)
         assert (search._universe(n, top)[0]
                 == [v for v in range(top) if down_set_fits(v, n)]), (n, cap)
+
+
+def test_universe_down_sets_match_the_definition():
+    # `brute_down_set` closes under every shadow and swap, not under
+    # `_prerequisites`
+    for n, cap in [(n, n - 1) for n in range(2, 15)] + [(20, 6), (30, 5)]:
+        top = 1 << min(cap, n - 1)
+        verts, _, needs = search._universe(n, top)
+        assert verts == [v for v in range(top)
+                         if brute_down_set(v).bit_count() <= n], (n, cap)
+        for w, need in zip(verts[1:], needs):
+            down = sum(1 << v for i, v in enumerate(verts) if need >> i & 1)
+            assert down | 1 << w == brute_down_set(w), (n, cap, w)
