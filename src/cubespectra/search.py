@@ -38,9 +38,10 @@ The maximization screens, then certifies.  Q_d is bipartite, so
 A = [[0, B], [B^T, 0]] with the even members as B's rows, and lambda1^2
 is the top eigenvalue of B B^T.  `_screen` gives each family an upper
 bound u: the square root of the Collatz-Wielandt ratio
-max_v (B B^T x)_v / x_v over the even members, at the positive x reached
-by SCREEN_STEPS steps x <- B B^T x, rounded up past lambda1 by a
-relative 1 + (n + 3) eps/2.  The steps run on the walk's member rows:
+max_v (B B^T x)_v / x_v over the even members, at the integer x >= 1
+reached by SCREEN_STEPS unnormalised steps x <- B B^T x from the ones
+(below 2**60, `_screen`), rounded up past lambda1 by a relative
+1 + (n + 3) eps/2.  The steps run on the walk's member rows:
 one B over the universe vertices that a block uses, masked per row, in
 products small enough for one BLAS thread.  `lambda1` then certifies
 families in order of decreasing u, and stops at the first family with
@@ -84,7 +85,7 @@ from .spectral import DEFAULT_TOL, _bipartite_dense, lambda1, star_value
 # Steps on B B^T before the screen's Collatz-Wielandt ratio: more steps
 # leave fewer families to `lambda1`, and no count, 0 included, alters a
 # result.  At n = 8..28 and 48 (d = n - 1) and at (n, d) = (56, 10), 4
-# send no more families to `lambda1` than 6 do; 3 send more at (56, 10).
+# send as few families to `lambda1` as 6 (96, 5, 5); 3 send 7 at (56, 10).
 SCREEN_STEPS = 4
 
 # Bound on m k n for each (m x k) (k x n) product of the screen: rows of
@@ -288,37 +289,46 @@ def _screen(rows: np.ndarray, verts: np.ndarray) -> np.ndarray:
     lambda1^2 is the top eigenvalue of B B^T on the even side, and
     max_v (B B^T x)_v / x_v bounds it for any positive x.  A compressed
     family is down-closed, so connected: for n >= 2 every even member has
-    a neighbour, and B B^T is irreducible on the even members with their
-    degrees on its diagonal, so steps from the ones on those rows keep x
-    positive there.  A one-vertex family has no edge and gets u = 0.
+    a neighbour, so B B^T, an integer matrix, has at least 1 on its
+    diagonal there, and steps from the ones keep x an integer of at least
+    1 on those rows with no normalisation.  A step grows x by at most
+    B B^T's largest row sum, min(d, n - 1)^2 <= 2**12, so the
+    SCREEN_STEPS + 1 = 5 products stay below 2**60, and exact below 2**48
+    at n <= 28; more steps divide x by its row maximum every 32.  A
+    one-vertex family has no edge and gets u = 0.
 
     The columns some row uses split by parity, and `a` is B on all of
     them (`_bipartite_dense`).  With se and so a row's even and odd
     members as 0/1 floats, a step x <- se (((x a) so) a^T) is a step on
     that row's own B B^T: x is 0 off its even members, and so drops
     the odd columns it lacks.  Each product takes SCREEN_PRODUCT // (E O)
-    rows at most."""
+    rows at most, and each mask applies in place to a product's output."""
     used = np.flatnonzero(rows.any(axis=0))
     a, odd = _bipartite_dense(verts[used])
     if not odd.any():       # no family, or the one-vertex family
         return np.zeros(len(rows))
     evens, odds = used[~odd], used[odd]
+    at = np.ascontiguousarray(a.T)
     size = max(1, SCREEN_PRODUCT // a.size)
     ratios = []
     for start in range(0, len(rows), size):
-        se = rows[start:start + size, evens].astype(float)
-        so = rows[start:start + size, odds].astype(float)
-        x = se
-        for _ in range(SCREEN_STEPS):
-            x = se * ((x @ a * so) @ a.T)
-            x /= x.max(axis=1, keepdims=True)
-        y = se * ((x @ a * so) @ a.T)
-        ratios.append((y / np.where(x > 0, x, 1.0)).max(axis=1))
-    # Rounding, in eps = 2**-52, to first order.  A product with a 0/1
-    # entry of `a`, se or so is exact, and an exact zero adds no error,
-    # so each entry of x a and of (x a so) a^T is a sum, in whatever order
-    # the GEMM takes, of at most e and o nonnegative terms of the row's
-    # own B (e + o = n members): at most e - 1 and o - 1 roundings.  With
+        block = rows[start:start + size]
+        se, so = block[:, evens].astype(float), block[:, odds].astype(float)
+        y = se
+        for step in range(SCREEN_STEPS + 1):
+            x = y if step % 32 < 31 else y / y.max(axis=1, keepdims=True)
+            t = x @ a
+            t *= so
+            y = t @ at
+            y *= se
+        np.divide(y, x, out=y, where=x > 0)
+        ratios.append(y.max(axis=1))
+    # Rounding, in eps = 2**-52, to first order; x is any positive vector,
+    # so only y and the ratio count.  A product with a 0/1 entry of `a`,
+    # se or so is exact, and an exact zero adds no error, so each entry of
+    # x a and of (x a so) a^T is a sum, in whatever order the GEMM takes,
+    # of at most e and o nonnegative terms of the row's own B (e + o = n
+    # members): at most e - 1 and o - 1 roundings, none below 2**53.  With
     # the division's one rounding each ratio is within (n - 1) eps/2 of
     # exact.  The square root halves that and rounds once:
     # sqrt(ratio) >= lambda1 (1 - (n + 1) eps/4).  With eps/2 for the

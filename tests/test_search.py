@@ -380,6 +380,77 @@ def test_screen_bounds_the_exact_lambda1(monkeypatch):
                 assert exact <= mpmath.mpf(t) <= exact * (1 + 1e-12), ms
 
 
+class DivideRecorder:
+    """numpy, as `search` sees it, with a copy of the operands of each
+    `divide(y, x, ...)` call kept: the screen's x and y = B B^T x."""
+
+    def __init__(self):
+        self.operands = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def divide(self, y, x, **kwargs):
+        self.operands.append((y.copy(), x.copy()))
+        return np.divide(y, x, **kwargs)
+
+
+def exact_bbt(members):
+    """x -> B B^T x in Python ints, x a list over the ascending even
+    members of the family `members`."""
+    fam = set(members)
+    bits = max(members).bit_length()
+    even = [v for v in members if v.bit_count() % 2 == 0]
+    at = {v: i for i, v in enumerate(even)}
+    odd_nbrs = [[w for w in (v ^ 1 << k for k in range(bits)) if w in fam]
+                for v in even]
+    even_nbrs = {w: [at[u] for u in (w ^ 1 << k for k in range(bits))
+                     if u in at]
+                 for w in {w for ws in odd_nbrs for w in ws}}
+
+    def bbt(x):
+        s = {w: sum(x[i] for i in us) for w, us in even_nbrs.items()}
+        return [sum(s[w] for w in ws) for ws in odd_nbrs]
+    return bbt, len(even)
+
+
+def test_screen_steps_match_an_exact_integer_oracle(monkeypatch):
+    # The screen's steps rerun in Python ints from the ones on each
+    # family's even members: its float x is the integer x wherever that
+    # stays below 2**53, and its bound u reaches the exact
+    # Collatz-Wielandt ratio max_v (B B^T x)_v / x_v at its own x.  On
+    # every family of n = 8..28 at d = n - 1 and on three blocks of the
+    # walk at (40, 10).
+    from fractions import Fraction
+    blocks = [block for n in range(8, 29) for block in search._walk(n, n - 1)]
+    blocks += list(search._walk(40, 10))[1::3]
+    recorder = DivideRecorder()
+    monkeypatch.setattr(search, "np", recorder)
+    compared = 0
+    for rows, verts in blocks:
+        recorder.operands.clear()
+        bounds = search._screen(rows, verts).tolist()
+        xs = np.concatenate([x for _, x in recorder.operands])
+        assert len(xs) == len(rows) == len(bounds)
+        for row, u, xf in zip(rows, bounds, xs):
+            members = verts[row].tolist()
+            bbt, evens = exact_bbt(members)
+            x = [1] * evens
+            for _ in range(search.SCREEN_STEPS):
+                x = bbt(x)
+            got = xf[xf != 0].tolist()
+            assert len(got) == evens and all(h.is_integer() for h in got)
+            for want, have in zip(x, got):
+                if want < 2**53:
+                    assert have == want, members
+                    compared += 1
+            got = [int(h) for h in got]
+            square = Fraction(u) ** 2
+            assert all(square >= Fraction(y, h)
+                       for y, h in zip(bbt(got), got)), members
+    assert compared >= 30000
+
+
 @pytest.mark.parametrize("rows", [1, 3])
 def test_screen_products_keep_the_search(monkeypatch, rows):
     # Products of one or of three rows at a time leave every bound a
