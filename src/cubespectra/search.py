@@ -43,14 +43,18 @@ reached by SCREEN_STEPS unnormalised steps x <- B B^T x from the ones
 (below 2**60, `_screen`), rounded up past lambda1 by a relative
 1 + (n + 3) eps/2.  The steps run on the walk's member rows:
 one B over the universe vertices that a block uses, masked per row, in
-products small enough for one BLAS thread.  `lambda1` then certifies
-families in order of decreasing u, and stops at the first family with
-u + w below the best lo and u below the lowest reported lo,
-w = max(tol, `lambda1`'s rounding floor at u).  The stop is exact: no lo
-exceeds lambda1, so none exceeds u, and `lambda1` returns a hi of at
-most lo + w unless it reaches its step cap.  No family left uncertified
-can therefore be a maximizer or a runner-up: the result is the one that
-certifying every family gives.
+products small enough for one BLAS thread.  Each block is screened as
+the walk yields it, `lambda1` certifies its families by decreasing u,
+and the rest of the block is dropped at the first family with u + w
+below the best lo so far and u below the lowest lo reported so far,
+w = max(tol, `lambda1`'s rounding floor at u).  No lo exceeds lambda1,
+so none exceeds u; `lambda1` returns a hi of at most lo + w unless it
+reaches its step cap; and the best lo only rises.  So a dropped family
+has hi <= u + w < the best lo now <= the best lo at the end: it is no
+maximizer.  The current `top_k` runner-ups have hi below the best lo
+now, so they stay non-maximizers, and lo >= the lowest reported lo > u,
+so they outrank it.  The result is the one that certifying every family
+gives, from the ranked families and one block.
 
 The partition machinery decomposes a compressed family into blocks of
 small internal degree plus disjoint star-ball neighbourhoods around
@@ -69,10 +73,9 @@ where a covered set is the whole family.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import accumulate
 from math import inf, log, sqrt
 
 import numpy as np
@@ -360,11 +363,11 @@ def max_lambda1(n: int, d: int, tol: float = DEFAULT_TOL, top_k: int = 3,
     Each certified family is a `lambda1` interval [lo, hi], and families
     rank by lo.  The maximizers are the families whose hi reaches the
     best lo (intervals that overlap tie); the runner-ups are the next
-    `top_k` non-maximizers with their lo.  `lambda1` certifies families
-    in order of decreasing screen bound u (`_screen`: the square root of
-    a Collatz-Wielandt bound on B B^T over the even members, rounded up
-    past lambda1) until u + max(`tol`, rounding floor) falls below the
-    best lo and u below the lowest reported lo, so the result is the one
+    `top_k` non-maximizers with their lo.  Each block of the walk is
+    screened as it comes (`_screen`: u, a Collatz-Wielandt bound rounded
+    up past lambda1), and `lambda1` certifies its families by decreasing
+    u until u + max(`tol`, rounding floor) falls below the best lo so
+    far and u below the lowest reported lo, so the result is the one
     that certifying every family would give.  A budget `max_families`
     stops the enumeration after that many families (at least 1).
     """
@@ -378,38 +381,34 @@ def max_lambda1(n: int, d: int, tol: float = DEFAULT_TOL, top_k: int = 3,
         raise ValueError(f"search budget must be >= 1, got {max_families}")
     restricted = d < n - 1
     cap_dim = min(d, max(n - 1, 1))
-    blocks, count, complete = [], 0, True
-    for block, verts in _walk(n, cap_dim):
-        blocks.append(block)
-        count += len(block)
-        if max_families is not None and count > max_families:
-            blocks[-1] = block[:len(block) - count + max_families]
-            count, complete = max_families, False
-            break
-    bounds = np.concatenate([_screen(rows, verts) for rows in blocks])
-    starts = list(accumulate(map(len, blocks), initial=0))
 
     def by_rank(row):   # lower end descending, then members
         return -row[0], row[2]
-
     # lambda1's gap is at most max(tol, 4 (K + 10) 2**-53 lo), K < 2n, lo <= u
     rounding = (8 * n + 40) * 2.0**-53
     ranked = []   # (lo, hi, members, family) in rank order
-    # families come in lex order, so a stable sort on -u breaks ties of u
-    # by members
-    for i in np.argsort(-bounds, kind="stable").tolist():
-        u = float(bounds[i])
-        if ranked:
-            maxima, runners = _split(ranked, top_k)
-            floor = min(r[0] for r in maxima + runners)
-            w = max(tol, rounding * u)
-            if len(runners) == top_k and u + w < ranked[0][0] and u < floor:
-                break
-        k = bisect_right(starts, i) - 1
-        members = verts[blocks[k][i - starts[k]]]
-        fam = VertexFamily._of_sorted(cap_dim, members)
-        insort(ranked, (*lambda1(fam, tol).interval(),
-                        tuple(members.tolist()), fam), key=by_rank)
+    walk, count, complete = _walk(n, cap_dim), 0, True
+    for rows, verts in walk:
+        count += len(rows)
+        if max_families is not None and count > max_families:
+            rows = rows[:len(rows) - count + max_families]
+            count, complete = max_families, False
+            walk.close()        # ends the loop, and frees the walk's tables
+        bounds = _screen(rows, verts)
+        # a stable sort keeps the walk's member order among equal u
+        for i in np.argsort(-bounds, kind="stable").tolist():
+            u = float(bounds[i])
+            if ranked:
+                maxima, runners = _split(ranked, top_k)
+                floor = min(r[0] for r in maxima + runners)
+                w = max(tol, rounding * u)
+                if (len(runners) == top_k and u + w < ranked[0][0]
+                        and u < floor):
+                    break
+            members = verts[rows[i]]
+            fam = VertexFamily._of_sorted(cap_dim, members)
+            insort(ranked, (*lambda1(fam, tol).interval(),
+                            tuple(members.tolist()), fam), key=by_rank)
     maxima, runners = _split(ranked, top_k)
     best = ranked[0][0]
     maximizers = tuple(VertexFamily._of_sorted(d, r[3].vertices)

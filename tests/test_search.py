@@ -305,8 +305,11 @@ def test_screen_certifies_few_families(monkeypatch):
         return lambda1(fam, tol)
 
     monkeypatch.setattr(search, "lambda1", counted)
-    res = max_lambda1(28, 27)
-    assert len(calls) < 0.05 * res.search_space_size
+    # (40, 39) spans 17 walk blocks, each certified as it comes
+    for n in (28, 40):
+        calls.clear()
+        res = max_lambda1(n, n - 1)
+        assert len(calls) < 0.05 * res.search_space_size, n
 
 
 def test_screen_certifies_as_few_families_as_before(monkeypatch):
@@ -479,12 +482,26 @@ def test_walk_matches_recursive_reference_on_wide_universes():
 
 @pytest.mark.parametrize("rows", [1, 3])
 def test_walk_blocks_keep_the_families_and_their_order(monkeypatch, rows):
+    # Blocks of one or of three parent rows keep the walk's families, and
+    # the search its result: each block is screened and certified as it
+    # comes, and a budget may end at a block's end or one family past it.
     for n, cap in ((20, 19), (28, 27), (30, 8)):
         want = list(enumerate_compressed(n, cap))
         universe = search._universe(n, 1 << min(cap, n - 1))[0]
         words = -(-len(universe) // 64)
         monkeypatch.setattr(search, "WALK_WORDS", rows * n * words)
         assert list(enumerate_compressed(n, cap)) == want, (n, cap)
+        if n == 28:     # certify_all takes 0.7 s there
+            continue
+        first = len(next(search._walk(n, cap))[0])
+        assert first < len(want), (n, cap)
+        for (top_k, tol), budget in itertools.product(
+                ((3, 1e-10), (0, 0.1), (3, 0.1)), (None, first, first + 1)):
+            got = max_lambda1(n, cap, tol, top_k, budget)
+            assert (result_fields(got) == result_fields(
+                certify_all(n, cap, tol, top_k, budget))), (n, top_k, budget)
+            if budget:
+                assert (got.search_space_size, got.complete) == (budget, False)
 
 
 def leaves_on(core, count):
