@@ -59,19 +59,14 @@ is held as the rank of its weight on every slot of Q_d, 0 for an absent
 slot.  A (U,V)-step gathers its pairs, the slots holding V and not U and
 the slots u - v above them, and swaps the pairs whose upper slot
 outranks the lower; the local test asks whether a local step has such
-a pair.  The result must be the dict that `_swap_weights` leaves, keys
-in the same order, since `rayleigh` and `norm_squared` sum in that
-order.  `_swap_weights` keeps a key where it is while its slot stays
-present; a swap fills the absent side of a pair exactly when one side
-is present, appending that key and deleting the other, and it visits
-such pairs in the order of their present key.  So every present slot
-keeps an insertion number, a step numbers the slots it fills afresh in
-increasing order of their partners' numbers, and `result()` lists the
-present slots by number: the same keys in the same order, with the same
-values.  Below the floor the dict is faster:
-at d = 6-8 and n = 16-32 the array took 1.9-2.7 times as long, and at
-d = 7-10 the two cross near n = 80.  `_Weights` and `_swap_weights` stay
-for smaller and sparser vectors and are the reference for the array.
+a pair.  The result is the dict that `_swap_weights` leaves, up to key
+order, which no sum depends on: `rayleigh` and `norm_squared` are
+correctly rounded (`math.fsum`).  Below the floor the dict is faster:
+at d = 6-10 and n = 16-32 `fully_compress` on the array took 1.1-2.6
+times as long, and the two cross at n = 44-54; from n = 56 on the array
+took 0.79-0.98 times as long at every d measured.  `_Weights` and
+`_swap_weights` stay for smaller and sparser vectors and are the
+reference for the array.
 
 Termination is certified by an explicit potential: sum over vertices of
 (bitmask value) * (rank of the weight held there).  Each state (bitmap,
@@ -134,7 +129,7 @@ class WeightVector:
         return len(self.weights)
 
     def norm_squared(self) -> float:
-        return sum(w * w for w in self.weights.values())
+        return math.fsum(w * w for w in self.weights.values())
 
     def items(self):
         return sorted(self.weights.items())
@@ -160,9 +155,7 @@ class CompressionStep:
 
 def _swap_weights(weights: dict[int, float], u: int, v: int) -> list:
     """Apply the (U,V)-step to `weights` in place, dropping exact zeros,
-    and return the swapped pairs of weights, larger first.  Pairs are
-    visited by their first vertex in `weights`' order, which fixes the
-    order of the keys it adds."""
+    and return the swapped pairs of weights, larger first."""
     union = u | v
     swapped = []
     for hi in dict.fromkeys(s ^ union if s & union == u else s
@@ -267,15 +260,12 @@ def binary_compression_family(fam: VertexFamily, i: int) -> VertexFamily:
 
 
 def rayleigh(vec: WeightVector) -> float:
-    """<A(Q_d) w, w>: twice the sum of weight products over cube edges."""
-    total = 0.0
+    """<A(Q_d) w, w>: twice the sum of weight products over cube edges,
+    correctly rounded, so the same for every key order."""
     weights = vec.weights
-    for s, w in weights.items():
-        for b in range(vec.d):
-            t = s | (1 << b)
-            if t != s and t in weights:
-                total += 2.0 * w * weights[t]
-    return total
+    bits = [1 << b for b in range(vec.d)]
+    return math.fsum(2.0 * w * weights[s | bit] for s, w in weights.items()
+                     for bit in bits if not s & bit and s | bit in weights)
 
 
 @functools.cache      # every sweep and every failing `is_compressed` reads it
@@ -469,16 +459,15 @@ def _rank_dot(slots: np.ndarray, ranks: np.ndarray, d: int) -> int:
 class _Ranks:
     """A weight vector as the rank array of the module docstring, used
     when `dense_fits(d, n)` and n >= `_RANK_FLOOR`.  Its ranks are
-    `_Weights`', so its drops and potential are too.  `order` holds the
-    insertion number of each present slot, and `numbered` counts the
-    numbers given out; `values[r + zero]` is the weight of rank r."""
+    `_Weights`', so its drops and potential are too.  `values[r + zero]`
+    is the weight of rank r."""
 
-    __slots__ = ("d", "rank", "order", "numbered", "values", "zero")
+    __slots__ = ("d", "rank", "values", "zero")
     target = "vector"
 
     def __init__(self, vec: WeightVector):
         d = self.d = vec.d
-        n = self.numbered = len(vec.weights)
+        n = len(vec.weights)
         slots = np.fromiter(vec.weights, np.intp, n)
         values, at = np.unique(np.fromiter(vec.weights.values(), float, n),
                                return_inverse=True)
@@ -486,8 +475,6 @@ class _Ranks:
         self.values = np.insert(values, zero, 0.0)
         self.rank = np.zeros(1 << d, np.int64)
         self.rank[slots] = at - zero + (at >= zero)
-        self.order = np.zeros(1 << d, np.int64)
-        self.order[slots] = np.arange(n)
 
     def fails(self) -> bool:
         """The vector test of the module docstring on every slot at once:
@@ -507,15 +494,7 @@ class _Ranks:
         if not moved.any():
             return 0
         a, lo, hi = a[moved], lo[moved], hi[moved]
-        b = a + (u - v)
-        rank[a], rank[b] = hi, lo
-        filled = np.concatenate((a[lo == 0], b[hi == 0]))   # one side present
-        if len(filled):
-            order = self.order
-            filled = filled[np.argsort(order[filled ^ (u | v)])]
-            order[filled] = np.arange(self.numbered,
-                                      self.numbered + len(filled))
-            self.numbered += len(filled)
+        rank[a], rank[a + (u - v)] = hi, lo
         return (u - v) * int((hi - lo).sum())
 
     def potential(self) -> int:
@@ -524,13 +503,12 @@ class _Ranks:
 
     def result(self) -> WeightVector:
         slots = np.flatnonzero(self.rank)
-        slots = slots[np.argsort(self.order[slots])]
         weights = self.values[self.rank[slots] + self.zero]
         return WeightVector(self.d, dict(zip(slots.tolist(), weights.tolist())))
 
 
 # Below this support the dict is faster (module docstring)
-_RANK_FLOOR = 80
+_RANK_FLOOR = 56
 
 
 def _state(x):

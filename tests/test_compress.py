@@ -3,12 +3,13 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 from math import isclose, sqrt
 from unittest import mock
 
 import pytest
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import brute_is_compressed, brute_lambda1, brute_vector_is_compressed
 from cubespectra import compress
@@ -163,6 +164,54 @@ def test_rayleigh_examples():
     assert rayleigh(WeightVector(3, {5: 2.5})) == 0.0
     square = WeightVector(2, {m: 0.5 for m in range(4)})
     assert isclose(rayleigh(square), 2.0)
+
+
+def _bench_vector(seed):
+    """Gaussian weights on 256-512 vertices of Q12, the size of the
+    benchmark's vectors."""
+    rnd = random.Random(seed)
+    support = rnd.sample(range(1 << 12), rnd.randint(256, 512))
+    return WeightVector(12, {s: rnd.gauss(0, 1) for s in support})
+
+
+def _assert_sums_ignore_key_order(vec, rnd):
+    """`rayleigh` and `norm_squared` are the exact sums of their rounded
+    terms, rounded once, and keep their bits when the keys are shuffled."""
+    ws = vec.weights
+    edges = [2.0 * w * ws[s | 1 << b] for s, w in ws.items()
+             for b in range(vec.d) if not s >> b & 1 and s | 1 << b in ws]
+    exact = (float(sum(map(Fraction, edges))),
+             float(sum(Fraction(w * w) for w in ws.values())))
+    assert (rayleigh(vec), vec.norm_squared()) == exact
+    for _ in range(3):
+        shuffled = WeightVector(vec.d, dict(rnd.sample(list(ws.items()), len(ws))))
+        assert (rayleigh(shuffled).hex(), shuffled.norm_squared().hex()) == (
+            exact[0].hex(), exact[1].hex())
+
+
+@st.composite
+def vectors_with_cancelling_terms(draw):
+    """Weights on a random support of Q1-Q12: Gaussian, or signed powers
+    of 1e50 from 1e-150 to 1e150 times 1, 1.5 or 3, so that large terms
+    cancel exactly and leave the small ones."""
+    d = draw(st.integers(1, 12))
+    rnd = draw(st.randoms(use_true_random=True))
+    spread = draw(st.booleans())
+    weight = ((lambda: rnd.choice((-1, 1, -1.5, 1.5, -3, 3))
+               * 10.0 ** (50 * rnd.randint(-3, 3)))
+              if spread else lambda: rnd.gauss(0, 1))
+    support = rnd.sample(range(1 << d), rnd.randint(1, min(1 << d, 300)))
+    return WeightVector(d, {s: weight() for s in support}), rnd
+
+
+@settings(max_examples=60)
+@given(vectors_with_cancelling_terms())
+@example((_bench_vector(0), random.Random(0)))
+@example((_bench_vector(1), random.Random(1)))
+@example((_bench_vector(2), random.Random(2)))
+@example((_bench_vector(3), random.Random(3)))
+def test_sums_are_correctly_rounded_in_every_key_order(drawn):
+    _assert_sums_ignore_key_order(*drawn)
 
 
 def _assert_every_step_keeps_rayleigh_monotone(vec):
@@ -346,8 +395,8 @@ def _assert_fully_compress_matches_sweeps(x):
     ref, ref_log = _sweep_until_silent(x)
     if isinstance(x, VertexFamily):
         assert out.members == ref.members
-    else:   # the key order too: sums over the weights follow it
-        assert list(out.weights.items()) == list(ref.weights.items())
+    else:
+        assert out.weights == ref.weights
     assert [(step.u, step.v) for step in log] == ref_log
 
 
@@ -537,10 +586,10 @@ def _states():
                        (10, 51, _Members), (12, 40, _Members)):
         fam = VertexFamily(d, frozenset(rnd.sample(range(1 << d), n)))
         out.append(pytest.param(fam, kind, id=f"{kind.__name__}-d{d}-n{n}"))
-    for d in (4, 7):
+    for d, kind in ((4, _Weights), (7, _Ranks)):    # 9 and 77 nonzero
         support = rnd.sample(range(1 << d), 3 << d - 2)
         vec = WeightVector(d, {s: float(rnd.randint(-2, 2)) for s in support})
-        out.append(pytest.param(vec, _Weights, id=f"vector-d{d}"))
+        out.append(pytest.param(vec, kind, id=f"vector-d{d}"))
     # nonzero weights, so n is the support size: on each side of the
     # floor, and of `dense_fits` (2^12 > 2 * 170 * 12)
     for d, n, kind in ((7, _RANK_FLOOR, _Ranks), (7, _RANK_FLOOR - 1, _Weights),
@@ -623,14 +672,14 @@ def test_vector_compression_on_both_sides_of_the_rank_rule(vec, kind):
 
 def _run_state(kind, vec):
     """Each step's drop and the potentials over two sweeps of `kind` on
-    vec, then the result, with the key order, that it ends with."""
+    vec, then the result that it ends with."""
     state = kind(vec)
     drops, potentials = [], [state.potential()]
     for _ in range(2):
         for u, v in _uv_steps(vec.d):
             drops.append(state.step(u, v))
         potentials.append(state.potential())
-    return drops, potentials, list(state.result().weights.items())
+    return drops, potentials, state.result().weights
 
 
 def _assert_rank_state_matches_dict(vec):
@@ -638,7 +687,7 @@ def _assert_rank_state_matches_dict(vec):
     for kind in (_Weights, _Ranks):
         with mock.patch.object(compress, "_state", kind):
             out, log = fully_compress(vec)
-            runs[kind] = (_run_state(kind, vec), list(out.weights.items()),
+            runs[kind] = (_run_state(kind, vec), out.weights,
                           log, is_compressed(vec))
     assert runs[_Ranks] == runs[_Weights]
 
@@ -671,10 +720,7 @@ def test_rank_state_matches_the_weight_dict(vec):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_rank_state_matches_the_weight_dict_at_bench_size(seed):
-    # Gaussian weights on 256-512 vertices of Q12
-    rnd = random.Random(seed)
-    support = rnd.sample(range(1 << 12), rnd.randint(256, 512))
-    vec = WeightVector(12, {s: rnd.gauss(0, 1) for s in support})
+    vec = _bench_vector(seed)
     assert type(_state(vec)) is _Ranks
     _assert_rank_state_matches_dict(vec)
 
