@@ -266,7 +266,8 @@ def flip_csr(rows: np.ndarray, cols: np.ndarray, d: int, n: int):
     the flips are XORed as intp, the table's index type, and `indices`
     stays int32.  Otherwise each row of flips is sorted and looked up in
     `cols` with `_found`: one `searchsorted`, and a flip found there is
-    an edge; `indices` are then its intp positions."""
+    an edge; `indices` are then its intp positions.  `indptr` is the
+    running sum of each row's `np.count_nonzero` of hits."""
     if dense_fits(d, n):
         table = np.full(1 << d, -1, dtype=np.int32)
         table[cols] = np.arange(len(cols), dtype=np.int32)
@@ -284,7 +285,7 @@ def flip_csr(rows: np.ndarray, cols: np.ndarray, d: int, n: int):
         pos, hit = _found(cols, flips)
         indices = pos[hit]
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(hit.sum(axis=1), out=indptr[1:])
+    np.cumsum(np.count_nonzero(hit, axis=1), out=indptr[1:])
     return indptr, indices
 
 
@@ -383,17 +384,20 @@ def _raise_first_bad_line(body: list[str], d: int) -> None:
 def _decode_lines(buffer: bytes, offset: int, d: int) -> np.ndarray | None:
     """The ascending masks of the lines of buffer[offset:], or None unless
     every line is d characters of 0/1 ending in '\\n' and no two are equal.
-    Each line's digits, zero-padded to the 64 bits of a mask, go into one
-    (m, 64) array, packed by one flat `np.packbits` and viewed as uint64:
-    packing along rows this short is several times slower."""
+    Each line's digits, zero-padded to the smallest of 8, 16, 32 or 64
+    columns that holds d, go into one (m, width) array, packed by one
+    flat `np.packbits`, viewed as words of that width and widened to
+    uint64 once: packing along rows this short is several times slower."""
     raw = np.frombuffer(buffer, dtype=np.uint8, offset=offset)
     m, rest = divmod(len(raw), d + 1)
     rows = raw[:m * (d + 1)].reshape(m, d + 1)
-    bits = np.zeros((m, 64), dtype=np.uint8)
+    width = max(8, 1 << (d - 1).bit_length())
+    bits = np.zeros((m, width), dtype=np.uint8)
     digits = np.subtract(rows[:, :d], np.uint8(ord("0")), out=bits[:, :d])
     if rest or not (digits <= 1).all() or (rows[:, d] != ord("\n")).any():
         return None
-    masks = np.packbits(bits, bitorder="little").view("<u8")
+    masks = np.packbits(bits, bitorder="little").view(
+        f"<u{width // 8}").astype(np.uint64)
     masks.sort()
     return None if (np.diff(masks) == 0).any() else masks
 

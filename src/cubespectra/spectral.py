@@ -225,7 +225,8 @@ def _bipartite_blocks(fam: VertexFamily):
     each ascending: Q_d is bipartite between the sets of even and odd
     size, so A is [[0, B], [B^T, 0]].  The block with the smaller side as
     rows comes from `flip_csr`, and the other is its transpose, whose
-    rows also list their columns in ascending order."""
+    rows also list their columns in ascending order.  Every entry is 1.0,
+    so both blocks hold the same data array."""
     from scipy.sparse import csr_matrix
 
     odd = np.bitwise_count(fam.vertices) & 1 == 1
@@ -235,6 +236,7 @@ def _bipartite_blocks(fam: VertexFamily):
     block = csr_matrix((np.ones(len(indices)), indices, indptr),
                        shape=(len(rows), len(cols)))
     other = block.T.tocsr()
+    other.data = block.data
     b, bt = (block, other) if rows is evens else (other, block)
     return b, bt, np.concatenate((evens, odds))
 
